@@ -1,7 +1,12 @@
 """Tests for the heuristic-ordering experiments (Section 5)."""
 
+from collections import Counter
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import profile_of
 from repro.bcc import compile_and_link
@@ -10,6 +15,8 @@ from repro.core import (
     best_order, build_order_data, classify_branches, evaluate_predictor,
     miss_rate_matrix, order_miss_rate, pairwise_order, subset_experiment,
 )
+from repro.core import orders as orders_module
+from repro.core.orders import _subset_sweep
 
 SRC_A = """
 struct Node { int v; struct Node *next; };
@@ -138,6 +145,133 @@ class TestSubsetExperiment:
             assert sorted(order) == sorted(HEURISTIC_NAMES)
             assert freq >= 1
             assert 0.0 <= miss <= 1.0
+
+    @pytest.mark.parametrize("k", [3, -1])
+    def test_k_outside_0_to_n_is_refused(self, datasets, k):
+        with pytest.raises(ValueError, match=rf"k={k} .* n=2"):
+            subset_experiment(datasets, k=k)
+
+    def test_single_benchmark_runs_one_empty_trial(self, datasets):
+        """One benchmark gives k = 0: one trial over the empty subset, won
+        by the first order (every score ties at zero)."""
+        result = subset_experiment(datasets[:1])
+        assert result.n_trials == 1
+        assert result.frequencies == [1]
+        assert result.orders == [all_orders()[0]]
+        assert result.cumulative_trial_share()[-1] == 1.0
+
+
+def _oracle(matrix, orders, k, chunk=2048):
+    """The full sweep: every order scored in every trial, tallied in a
+    Counter. The pruned sweep must reproduce it exactly."""
+    n = matrix.shape[1]
+    overall = matrix.mean(axis=1)                 # (O,)
+    counter: Counter[int] = Counter()
+    n_trials = 0
+    subset_iter = combinations(range(n), k)
+    while True:
+        batch = []
+        for _ in range(chunk):
+            try:
+                batch.append(next(subset_iter))
+            except StopIteration:
+                break
+        if not batch:
+            break
+        mask = np.zeros((len(batch), n), dtype=np.float32)
+        for row, subset in enumerate(batch):
+            mask[row, list(subset)] = 1.0
+        scores = mask @ matrix.T.astype(np.float32)   # (batch, O)
+        winners = scores.argmin(axis=1)
+        counter.update(winners.tolist())
+        n_trials += len(batch)
+    ranked = counter.most_common()
+    return orders_module.SubsetExperimentResult(
+        orders=[orders[i] for i, _ in ranked],
+        frequencies=[c for _, c in ranked],
+        overall_miss_rates=[float(overall[i]) for i, _ in ranked],
+        n_trials=n_trials,
+    )
+
+
+@st.composite
+def tied_matrices(draw):
+    """Coarsely quantized (O, N) miss-rate matrices padded with duplicate
+    rows and with rows dominated by, or dominating, an earlier or later
+    row, so that score and frequency ties are common."""
+    n = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([1, 2, 3, 10]))
+    value = st.integers(0, levels).map(lambda i: i / levels)
+    row = st.lists(value, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 16))):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        other = draw(row)
+        derived = draw(st.sampled_from([
+            source,
+            [max(a, b) for a, b in zip(source, other)],
+            [min(a, b) for a, b in zip(source, other)],
+        ]))
+        rows.insert(draw(st.integers(0, len(rows))), derived)
+    return np.array(rows, dtype=np.float64)
+
+
+class TestPrunedSweep:
+    """The candidate-pruned sweep against the full sweep it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=tied_matrices(), data=st.data())
+    def test_matches_full_sweep(self, matrix, data):
+        k = data.draw(st.integers(0, matrix.shape[1]))
+        # small cell budgets split the trials over many chunks, so the
+        # cross-chunk first-win bookkeeping is exercised too
+        cells = data.draw(st.sampled_from([1, 5, orders_module._SWEEP_CELLS]))
+        orders = [(f"o{i}",) for i in range(matrix.shape[0])]
+        with mock.patch.object(orders_module, "_SWEEP_CELLS", cells):
+            result = _subset_sweep(matrix, orders, k)
+        expected = _oracle(matrix, orders, k)
+        assert result.orders == expected.orders
+        assert result.frequencies == expected.frequencies
+        assert result.n_trials == expected.n_trials
+        assert result.overall_miss_rates == expected.overall_miss_rates
+
+    def test_matches_full_sweep_on_real_orders(self, datasets):
+        matrix, orders = miss_rate_matrix(datasets)
+        for k in range(3):
+            result = _subset_sweep(matrix, orders, k)
+            expected = _oracle(matrix, orders, k)
+            assert (result.orders, result.frequencies, result.n_trials) == (
+                expected.orders, expected.frequencies, expected.n_trials)
+
+    @pytest.mark.parametrize("cells", [1, orders_module._SWEEP_CELLS])
+    def test_count_ties_rank_by_first_win(self, cells):
+        """Orders 0 and 1 win two single-benchmark trials each; order 1
+        wins trial 0 first, so it ranks first, in one chunk or many."""
+        matrix = np.array([[1.0, 0.0, 0.0, 1.0],
+                           [0.0, 1.0, 1.0, 0.0]])
+        with mock.patch.object(orders_module, "_SWEEP_CELLS", cells):
+            result = _subset_sweep(matrix, ["late", "early"], 1)
+        assert result.orders == ["early", "late"]
+        assert result.frequencies == [2, 2]
+        assert _oracle(matrix, ["late", "early"], 1).orders == result.orders
+
+    def test_lex_subsets_match_itertools(self):
+        for n in range(10):
+            for k in range(n + 1):
+                subsets = orders_module._lex_subsets(n, k)
+                assert subsets.shape == (len(list(combinations(range(n),
+                                                               k))), k)
+                assert [tuple(map(int, s)) for s in subsets] == list(
+                    combinations(range(n), k))
+
+    def test_dominated_and_duplicate_rows_are_not_candidates(self):
+        rows = np.array([[0.5, 0.5],
+                         [0.5, 0.5],     # duplicate of row 0
+                         [0.6, 0.5],     # dominated by row 0
+                         [0.4, 0.6],
+                         [0.4, 0.4]],    # dominates rows 0-3, but later
+                        dtype=np.float32)
+        assert orders_module._candidate_orders(rows).tolist() == [0, 3, 4]
 
 
 class TestPairwiseOrder:

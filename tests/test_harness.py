@@ -157,6 +157,17 @@ class TestGraphs:
         assert g.cumulative_share[-1] <= 1.0 + 1e-9
         g.describe()
 
+    def test_graphs2_3_refuses_k_above_benchmark_count(self, small_runner):
+        with pytest.raises(ValueError, match=r"k=5 .* n=3"):
+            graphs2_3(small_runner, exclude=(), k=5)
+
+    def test_graphs2_3_single_benchmark(self, small_runner):
+        """One benchmark (as with --benchmarks X) gives one k=0 trial."""
+        g = graphs2_3(small_runner, exclude=("fields", "gauss"))
+        assert g.result.n_trials == 1
+        assert g.cumulative_share[-1] == 1.0
+        assert "over 1 trials" in g.describe()
+
     def test_graphs4_11(self, small_runner):
         (sg,) = graphs4_11(small_runner, benchmarks=("queens",))
         curves = sg.instruction_curves()
