@@ -15,7 +15,7 @@ Run:  python examples/trace_scheduling_regions.py [benchmark]
 
 import sys
 
-from repro import SuiteRunner, sequence_experiment
+from repro import SuiteRunner
 from repro.core.model import model_fraction
 
 
@@ -26,9 +26,7 @@ def main() -> None:
     print(f"benchmark {name} ({run.instr_count} instructions, "
           f"{run.dynamic_total} dynamic branches)")
 
-    analyzers = sequence_experiment(
-        run.executable, run.profile,
-        inputs=list(run.dataset.inputs), analysis=run.analysis)
+    analyzers = runner.sequences(name, "small")
 
     print(f"\n{'predictor':10s} {'miss':>6s} {'IPBC avg':>9s} "
           f"{'dividing len':>13s}")

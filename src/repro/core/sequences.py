@@ -17,9 +17,21 @@ from repro.sim import run_with_sequences
 from repro.sim.profile import EdgeProfile
 from repro.sim.trace import SequenceAnalyzer
 
-__all__ = ["sequence_experiment", "PAPER_SEQUENCE_PREDICTORS"]
+__all__ = ["sequence_experiment", "sequence_predictions",
+           "PAPER_SEQUENCE_PREDICTORS"]
 
 PAPER_SEQUENCE_PREDICTORS = ("Loop+Rand", "Heuristic", "Perfect")
+
+
+def sequence_predictions(analysis: ProgramAnalysis,
+                         profile: EdgeProfile) -> dict[str, dict[int, bool]]:
+    """The paper's three prediction maps, keyed like
+    :data:`PAPER_SEQUENCE_PREDICTORS`; *profile* defines Perfect."""
+    return {
+        "Loop+Rand": LoopRandomPredictor(analysis).prediction_map(),
+        "Heuristic": HeuristicPredictor(analysis).prediction_map(),
+        "Perfect": PerfectPredictor(analysis, profile).prediction_map(),
+    }
 
 
 def sequence_experiment(
@@ -29,21 +41,23 @@ def sequence_experiment(
     analysis: ProgramAnalysis | None = None,
     max_instructions: int = 200_000_000,
     engine: str | None = None,
+    max_memory_bytes: int | None = None,
+    wall_clock_deadline: float | None = None,
 ) -> dict[str, SequenceAnalyzer]:
     """Run one execution measuring the sequence-length distributions of the
     paper's three predictors simultaneously.
 
     *profile* must come from an identical prior run (same inputs); it
     defines the perfect predictor. Returns analyzers keyed
-    ``"Loop+Rand" | "Heuristic" | "Perfect"``.
+    ``"Loop+Rand" | "Heuristic" | "Perfect"``.  The limits and *engine*
+    are forwarded to the :class:`~repro.sim.Machine`.
     """
     if analysis is None:
         analysis = classify_branches(executable)
-    predictions = {
-        "Loop+Rand": LoopRandomPredictor(analysis).prediction_map(),
-        "Heuristic": HeuristicPredictor(analysis).prediction_map(),
-        "Perfect": PerfectPredictor(analysis, profile).prediction_map(),
-    }
-    return run_with_sequences(executable, predictions, inputs=inputs,
+    return run_with_sequences(executable,
+                              sequence_predictions(analysis, profile),
+                              inputs=inputs,
                               max_instructions=max_instructions,
-                              engine=engine)
+                              engine=engine,
+                              max_memory_bytes=max_memory_bytes,
+                              wall_clock_deadline=wall_clock_deadline)

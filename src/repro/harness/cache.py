@@ -25,6 +25,11 @@ Key recipe (see docs/performance.md for the full derivation):
     each other (the engine name is resolved *after* the
     ``REPRO_CHAOS_FORCE_TIER0`` / ``REPRO_SIM_ENGINE`` seams).
 
+``sequences`` entries
+    ``sha256(schema, repro version, "sequences", run key, every
+    prediction map as sorted (address, taken) pairs)`` — the Graphs 4-11
+    analyzers of one run.  Only successes are stored.
+
 Integrity: each entry file is ``magic || sha256(body) || body`` where the
 body is a pickled envelope ``{schema, version, key, kind, payload}``.  A
 read that fails **any** check — magic, digest, unpickle, schema, version,
@@ -64,7 +69,8 @@ from repro._version import __version__
 from repro.harness.locking import DEFAULT_LEASE_TTL_S, Lease, LeaseManager
 
 __all__ = ["ArtifactCache", "CACHE_SCHEMA", "compile_key", "run_key",
-           "default_pass_spec", "CHAOS_LOCK_HOLD_ENV", "DEFAULT_SWEEP_AGE_S"]
+           "sequence_key", "default_pass_spec", "CHAOS_LOCK_HOLD_ENV",
+           "DEFAULT_SWEEP_AGE_S"]
 
 #: bump on any change to the entry envelope or payload layout
 CACHE_SCHEMA = 1
@@ -161,6 +167,27 @@ def run_key(compile_digest: str, dataset: str, inputs: tuple,
         "memory": max_memory_bytes,
         "retry_fuel_factor": int(retry_fuel_factor),
         "engine": engine,
+    })
+
+
+def sequence_key(run_digest: str,
+                 predictions: dict[str, dict[int, bool]],
+                 version: str = __version__) -> str:
+    """Content key for one run's sequence-length analyzers (Graphs 4-11).
+
+    *run_digest* is the :func:`run_key` of the profiled run, so the
+    compile key, effective inputs and limits, and resolved engine all
+    carry over.  Every prediction map is hashed bit for bit: a
+    heuristic change can never be served a stale distribution.
+    """
+    return _digest({
+        "schema": CACHE_SCHEMA,
+        "version": version,
+        "kind": "sequences",
+        "run": run_digest,
+        "predictions": {label: [[address, bool(taken)] for address, taken
+                                in sorted(preds.items())]
+                        for label, preds in predictions.items()},
     })
 
 

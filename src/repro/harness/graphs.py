@@ -16,8 +16,8 @@ from repro.core.orders import (
     SubsetExperimentResult, all_orders_curve, subset_experiment,
 )
 from repro.core.predictors import HeuristicPredictor, PerfectPredictor
-from repro.core.sequences import sequence_experiment
-from repro.harness.resilience import RunOutcome
+from repro.errors import ReproError
+from repro.harness.resilience import RunOutcome, classify_failure
 from repro.harness.runner import BenchmarkRun, SuiteRunner
 from repro.harness.tables import _runs_and_failures, order_data_for
 from repro.sim.trace import SequenceAnalyzer
@@ -139,21 +139,24 @@ def graphs4_11(runner: SuiteRunner,
                benchmarks: tuple[str, ...] = SEQUENCE_BENCHMARKS
                ) -> list[SequenceGraphs]:
     """Run the trace-based sequence experiment for the paper's
-    hard-to-predict benchmark set.
+    hard-to-predict benchmark set (cached by :meth:`SuiteRunner.sequences`).
 
-    In degraded mode a failed benchmark yields a placeholder entry whose
-    ``failure`` field carries the classified outcome."""
+    In degraded mode a benchmark whose run or sequence pass failed yields
+    a placeholder entry whose ``failure`` field carries the classified
+    outcome."""
     out = []
     for name in benchmarks:
         outcome = runner.outcome(name)
         if outcome.failed:  # unreachable in strict mode (outcome raises)
             out.append(SequenceGraphs(name, {}, failure=outcome))
             continue
-        run = outcome.require()
-        analyzers = sequence_experiment(
-            run.executable, run.profile, inputs=list(run.dataset.inputs),
-            analysis=run.analysis)
-        out.append(SequenceGraphs(name, analyzers))
+        try:
+            out.append(SequenceGraphs(name, runner.sequences(name)))
+        except ReproError as exc:
+            if runner.strict:
+                raise
+            out.append(SequenceGraphs(name, {}, failure=RunOutcome(
+                name, outcome.dataset, classify_failure(exc), error=exc)))
     return out
 
 

@@ -30,10 +30,11 @@ Scale-out (this layer's two new seams — see docs/performance.md):
     folded into the parent sink under per-shard ``parallel:shard`` spans.
 
 ``cache_dir=PATH``
-    Every compile and run additionally consults a persistent
-    content-addressed :class:`~repro.harness.cache.ArtifactCache`, so a
-    warm repeat invocation (same sources, same pipeline, same limits,
-    same version) costs unpickling instead of simulation.  Sabotaged
+    Every compile, run, and Graphs 4-11 sequence pass additionally
+    consults a persistent content-addressed
+    :class:`~repro.harness.cache.ArtifactCache`, so a warm repeat
+    invocation (same sources, same pipeline, same limits, same version)
+    costs unpickling instead of simulation.  Sabotaged
     artifacts (chaos ``poison_*`` seams) bypass the cache entirely, and
     wall-clock timeouts are never cached.
 """
@@ -47,11 +48,14 @@ from time import perf_counter
 from repro import telemetry as _telemetry
 from repro.bench.suite import Benchmark, Dataset, get, suite
 from repro.core.classify import ProgramAnalysis, classify_branches
+from repro.core.sequences import sequence_experiment, sequence_predictions
 from repro.errors import ReproError
-from repro.harness.cache import ArtifactCache, compile_key, run_key
+from repro.harness.cache import (
+    ArtifactCache, compile_key, run_key, sequence_key,
+)
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, resolve_engine_name
+from repro.sim import Machine, SequenceAnalyzer, resolve_engine_name
 from repro.sim.profile import EdgeProfile
 
 __all__ = ["BenchmarkRun", "SuiteRunner"]
@@ -151,11 +155,13 @@ class SuiteRunner:
 
     Telemetry: each fresh (benchmark, dataset) execution is wrapped in a
     ``run:<benchmark>/<dataset>`` span containing ``compile``/``analyze``
-    and ``simulate`` child spans; memo-cache hits and misses, retries, and
-    per-status failures are counted under ``harness.*``, artifact-cache
-    traffic under ``harness.artifact_cache.*``, and parallel prefetches
-    produce ``parallel:pool`` / ``parallel:shard`` spans (all no-ops
-    unless a telemetry sink is installed via :func:`repro.telemetry.install`).
+    and ``simulate`` child spans (a :meth:`sequences` pass is one more
+    ``simulate`` span, tagged ``kind="sequences"``); memo-cache hits and
+    misses, retries, and per-status failures are counted under
+    ``harness.*``, artifact-cache traffic under
+    ``harness.artifact_cache.*``, and parallel prefetches produce
+    ``parallel:pool`` / ``parallel:shard`` spans (all no-ops unless a
+    telemetry sink is installed via :func:`repro.telemetry.install`).
     """
 
     def __init__(self, benchmarks: list[str] | None = None,
@@ -465,6 +471,48 @@ class SuiteRunner:
     def run(self, name: str, dataset: str = "ref") -> BenchmarkRun:
         """Profile one benchmark execution (memoized); raises on failure."""
         return self.outcome(name, dataset).require()
+
+    def sequences(self, name: str, dataset: str = "ref"
+                  ) -> dict[str, SequenceAnalyzer]:
+        """The Graphs 4-11 sequence analyzers of one run (see
+        :func:`~repro.core.sequences.sequence_experiment`).
+
+        The run is re-simulated under its own effective inputs, memory
+        cap, deadline, and engine, with the fuel its last permitted
+        retry would get, so a run that fit its profile pass fits this
+        one.  With a persistent cache the analyzers are stored under
+        :func:`~repro.harness.cache.sequence_key` and a warm rerun
+        simulates nothing.  Failures raise and are never stored.
+        """
+        run = self.run(name, dataset)
+        actual = run.dataset.name
+        budget, keep, memory = self._effective_limits(name, actual)
+        inputs = list(run.dataset.inputs[:keep])
+        cache = self._disk_cache_for(name)
+        if cache is not None:
+            key = sequence_key(self._run_key_for(name, actual),
+                               sequence_predictions(run.analysis, run.profile),
+                               version=cache.version)
+            analyzers = cache.get(key, "sequences")
+            if analyzers is not None:
+                return analyzers
+        policy = self.retry_policy
+        try:
+            with _telemetry.get().span("simulate", category="harness",
+                                       benchmark=name, dataset=actual,
+                                       kind="sequences"):
+                analyzers = sequence_experiment(
+                    run.executable, run.profile, inputs=inputs,
+                    analysis=run.analysis,
+                    max_instructions=budget * policy.fuel_scale(
+                        policy.max_attempts),
+                    engine=self.engine, max_memory_bytes=memory,
+                    wall_clock_deadline=self.wall_clock_deadline)
+        except ReproError as exc:
+            raise exc.with_context(benchmark=name, dataset=actual)
+        if cache is not None:
+            cache.put(key, "sequences", analyzers)
+        return analyzers
 
     # -- parallel prefetch -----------------------------------------------------
 

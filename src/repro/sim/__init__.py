@@ -64,6 +64,8 @@ def run_with_sequences(
     inputs: list | None = None,
     max_instructions: int = 200_000_000,
     engine: str | None = None,
+    max_memory_bytes: int | None = None,
+    wall_clock_deadline: float | None = None,
 ) -> dict[str, SequenceAnalyzer]:
     """Run *executable* once while measuring the sequence-length distribution
     of several static predictors simultaneously.
@@ -76,6 +78,8 @@ def run_with_sequences(
                  for name, preds in predictions_by_name.items()}
     machine = Machine(executable, inputs=inputs,
                       observers=list(analyzers.values()),
-                      max_instructions=max_instructions, engine=engine)
+                      max_instructions=max_instructions, engine=engine,
+                      max_memory_bytes=max_memory_bytes,
+                      wall_clock_deadline=wall_clock_deadline)
     machine.run()
     return analyzers

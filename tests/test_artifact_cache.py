@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.cache import (
-    ArtifactCache, CACHE_SCHEMA, _MAGIC, compile_key, run_key,
+    ArtifactCache, CACHE_SCHEMA, _MAGIC, compile_key, run_key, sequence_key,
 )
 
 # -- strategies ---------------------------------------------------------------
@@ -33,6 +33,11 @@ sources = st.text(max_size=200)
 pass_specs = st.lists(names, max_size=4).map(tuple)
 inputs_vectors = st.lists(st.integers(-2**31, 2**31 - 1), max_size=8).map(tuple)
 fuel_budgets = st.integers(1, 10**12)
+prediction_maps = st.dictionaries(
+    st.sampled_from(["Loop+Rand", "Heuristic", "Perfect"]),
+    st.dictionaries(st.integers(0, 2**32 - 1), st.booleans(),
+                    min_size=1, max_size=8),
+    min_size=1)
 memory_caps = st.one_of(st.none(), st.integers(4096, 2**40))
 payloads = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=30)),
@@ -114,8 +119,44 @@ def test_run_key_depends_on_every_scalar_field():
     for field, value in [("compile_digest", "d" * 64), ("dataset", "small"),
                          ("inputs", (1, 2, 3)), ("fuel_budget", 1001),
                          ("max_memory_bytes", 4096),
-                         ("retry_fuel_factor", 4)]:
+                         ("retry_fuel_factor", 4), ("engine", "tier0")]:
         assert run_key(**{**base, field: value}) != k0, field
+
+
+@given(predictions=prediction_maps)
+def test_sequence_key_is_deterministic(predictions):
+    """Only the content of the maps counts, not their insertion order."""
+    shuffled = {label: dict(reversed(preds.items()))
+                for label, preds in reversed(predictions.items())}
+    assert (sequence_key("r" * 64, predictions)
+            == sequence_key("r" * 64, shuffled))
+
+
+@given(predictions=prediction_maps, data=st.data())
+def test_sequence_key_depends_on_every_prediction_bit(predictions, data):
+    label = data.draw(st.sampled_from(sorted(predictions)))
+    address = data.draw(st.sampled_from(sorted(predictions[label])))
+    preds = predictions[label]
+    flipped = {**predictions,
+               label: {**preds, address: not preds[address]}}
+    assert (sequence_key("r" * 64, flipped)
+            != sequence_key("r" * 64, predictions))
+
+
+def test_sequence_key_depends_on_the_run_key():
+    """Engine, effective inputs, and every other run-key field carry
+    over through the run key."""
+    base = dict(compile_digest="c" * 64, dataset="ref", inputs=(1, 2),
+                fuel_budget=1000, max_memory_bytes=None,
+                retry_fuel_factor=1)
+    preds = {"Perfect": {0x400000: True}}
+    k0 = sequence_key(run_key(**base), preds)
+    for field, value in [("engine", "tier0"), ("inputs", (1,)),
+                         ("fuel_budget", 1001), ("max_memory_bytes", 4096)]:
+        assert sequence_key(run_key(**{**base, field: value}), preds) \
+            != k0, field
+    assert sequence_key(run_key(**base), preds, version="0.0.0") != k0
+    assert k0 != run_key(**base)
 
 
 # -- integrity ----------------------------------------------------------------

@@ -1,14 +1,21 @@
 """Tests for the experiment harness over a small benchmark subset."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import MINI_SUITE
+from repro import telemetry
+from repro.bench.suite import Benchmark, Dataset, registered
+from repro.errors import SimulationLimitExceeded
 from repro.harness import (
     SuiteRunner, TextTable, cd_cell, graph1, graph12, graph13, graphs2_3,
     graphs4_11, mean_std, pct, table1, table2, table3, table4, table5,
     table6, table7,
 )
 from repro.harness.tables import heuristic_table, order_data_for
+from repro.sim import FORCE_TIER0_ENV, Machine, SequenceAnalyzer
+from repro.telemetry import Telemetry
 
 
 class TestReportHelpers:
@@ -188,3 +195,111 @@ class TestGraphs:
         for p in g.points:
             assert p.perfect_miss <= p.heuristic_miss + 1e-9
         assert "queens" in g.describe()
+
+
+#: reads n, then sums n values; trailing inputs are never read, so a
+#: truncated dataset still completes
+SUM_SOURCE = """
+int main() {
+    int n = read_int();
+    int i;
+    int s = 0;
+    for (i = 0; i < n; i++) { s += read_int(); }
+    print_int(s);
+    return 0;
+}
+"""
+
+
+@pytest.fixture
+def machines(monkeypatch):
+    """Every Machine built while the test runs, as its effective limits."""
+    built = []
+    original = Machine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(SimpleNamespace(
+            sequences=any(isinstance(ob, SequenceAnalyzer)
+                          for ob in self.observers),
+            inputs=tuple(self.inputs), fuel=self.max_instructions,
+            memory=kwargs.get("max_memory_bytes"),
+            deadline=self.wall_clock_deadline, engine=self.engine))
+
+    monkeypatch.setattr(Machine, "__init__", spy)
+    return built
+
+
+class TestSequencePass:
+    """``SuiteRunner.sequences`` re-simulates a run exactly as it was
+    profiled: same engine, inputs, memory cap, and deadline."""
+
+    def test_runs_on_the_runner_engine(self, machines, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
+        monkeypatch.delenv(FORCE_TIER0_ENV, raising=False)
+        runner = SuiteRunner(["queens"], engine="tier0")
+        graphs4_11(runner, benchmarks=("queens",))
+        assert [m.sequences for m in machines] == [False, True]
+        assert [m.engine for m in machines] == ["tier0", "tier0"]
+
+    def test_uses_the_profile_runs_effective_limits(self, machines):
+        summer = Benchmark("seqsum", "int", "sums n inputs", "none",
+                           (Dataset("ref", (3, 1, 2, 3, 7, 7)),
+                            Dataset("small", (2, 5, 6, 9, 9))),
+                           source_text=SUM_SOURCE)
+        with registered([summer]):
+            runner = SuiteRunner(["seqsum"], wall_clock_deadline=60.0)
+            runner.limit_inputs("seqsum", 3, dataset="small")
+            runner.limit_memory("seqsum", 1 << 20, dataset="small")
+            # alias the small run as ref, as small_runner does: the
+            # limits must come from the dataset that actually ran
+            run = runner.run("seqsum", "small")
+            runner._runs[("seqsum", "ref")] = run
+            (sg,) = graphs4_11(runner, benchmarks=("seqsum",))
+        profile, sequences = machines
+        assert sequences.sequences and not profile.sequences
+        assert sequences.inputs == profile.inputs == (2, 5, 6)
+        assert sequences.memory == profile.memory == 1 << 20
+        assert sequences.deadline == profile.deadline == 60.0
+        assert sequences.fuel == profile.fuel
+        assert run.output == "11"
+        assert sg.analyzers["Perfect"].total_instructions == run.instr_count
+
+    def test_fits_the_fuel_of_a_retried_profile_run(self):
+        needed = SuiteRunner(["queens"]).run("queens").instr_count
+        runner = SuiteRunner(["queens"], strict=False, retry_fuel_factor=4)
+        runner.limit_fuel("queens", needed // 2)
+        assert runner.outcome("queens").retried
+        (sg,) = graphs4_11(runner, benchmarks=("queens",))
+        assert not sg.failed
+        assert sg.analyzers["Perfect"].total_instructions == needed
+
+    @staticmethod
+    def _starved_runner(strict: bool) -> SuiteRunner:
+        """A runner whose memoized queens run fits, but whose sequence
+        pass gets too little fuel."""
+        runner = SuiteRunner(["queens"], strict=strict)
+        runner.run("queens")
+        runner.limit_fuel("queens", 100)
+        return runner
+
+    def test_failed_sequence_pass_raises_in_strict_mode(self):
+        with pytest.raises(SimulationLimitExceeded) as info:
+            graphs4_11(self._starved_runner(True), benchmarks=("queens",))
+        assert info.value.benchmark == "queens"
+
+    def test_failed_sequence_pass_renders_failed_when_degraded(self):
+        (sg,) = graphs4_11(self._starved_runner(False),
+                           benchmarks=("queens",))
+        assert sg.failed and "FAILED" in sg.describe()
+
+    def test_every_simulation_has_a_simulate_span(self):
+        sink = Telemetry()
+        with telemetry.use(sink):
+            runner = SuiteRunner(MINI_SUITE)
+            table1(runner)
+            graphs4_11(runner, benchmarks=tuple(MINI_SUITE))
+        spans = [s for s in sink.spans if s.name == "simulate"]
+        assert len(spans) == sink.counters()["sim.runs"] == 2 * len(MINI_SUITE)
+        assert [s.args.get("kind") for s in spans].count("sequences") \
+            == len(MINI_SUITE)

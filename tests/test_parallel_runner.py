@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.errors import WorkerCrashError, WorkerError
 from repro.harness import (
     SEQUENCE_BENCHMARKS, RunStatus, SuiteRunner,
@@ -25,6 +26,7 @@ from repro.harness import (
     table1, table2, table3, table4, table5, table6, table7,
 )
 from repro.harness.parallel import CHAOS_WORKER_CRASH_ENV
+from repro.telemetry import Telemetry
 from repro.testing.chaos import sabotage
 
 from conftest import MINI_SUITE
@@ -98,6 +100,75 @@ class TestMiniSuiteDeterminism:
             assert a.run.instr_count == b.run.instr_count
             assert a.run.output == b.run.output
             assert list(a.run.profile.items()) == list(b.run.profile.items())
+
+
+def sequence_report(runner: SuiteRunner) -> str:
+    """Graphs 4-11 over the mini suite."""
+    return "\n".join(sg.describe() for sg in
+                     graphs4_11(runner, benchmarks=tuple(MINI_SUITE)))
+
+
+def log_cache_traffic(cache) -> list[tuple[str, str, str]]:
+    """Record every ``(op, kind, key)`` *cache* serves from now on."""
+    log = []
+    get, put = cache.get, cache.put
+
+    def logged_get(key, kind):
+        log.append(("get", kind, key))
+        return get(key, kind)
+
+    def logged_put(key, kind, payload):
+        log.append(("put", kind, key))
+        return put(key, kind, payload)
+
+    cache.get, cache.put = logged_get, logged_put
+    return log
+
+
+class TestSequenceCache:
+    """Graphs 4-11 sequence passes are cached run artifacts."""
+
+    @pytest.fixture(scope="class")
+    def serial_sequences(self):
+        return sequence_report(SuiteRunner(MINI_SUITE))
+
+    def test_warm_rerun_simulates_nothing(self, serial_sequences, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cold = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+        assert sequence_report(cold) == serial_sequences
+        sink = Telemetry()
+        with telemetry.use(sink):
+            warm = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+            assert sequence_report(warm) == serial_sequences
+        assert sink.counters().get("sim.runs", 0) == 0
+        assert warm.cache.misses == 0
+        assert warm.cache.hits == 3 * len(MINI_SUITE)  # compile, run, seq
+
+    def test_corrupt_entry_is_recomputed(self, serial_sequences, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cold = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+        log = log_cache_traffic(cold.cache)
+        sequence_report(cold)
+        keys = [key for op, kind, key in log
+                if op == "put" and kind == "sequences"]
+        assert len(keys) == len(MINI_SUITE)
+        for key in keys:
+            cold.cache.path_for(key).write_bytes(b"junk")
+        again = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+        assert sequence_report(again) == serial_sequences
+        assert again.cache.corrupt == len(MINI_SUITE)
+        assert again.cache.stores == len(MINI_SUITE)
+
+    def test_failed_placeholder_never_touches_an_entry(self, tmp_path):
+        runner = SuiteRunner(MINI_SUITE, strict=False,
+                             cache_dir=tmp_path / "cache")
+        sabotage(runner, "fields", "fuel")
+        log = log_cache_traffic(runner.cache)
+        graphs = graphs4_11(runner, benchmarks=tuple(MINI_SUITE))
+        assert [sg.name for sg in graphs if sg.failed] == ["fields"]
+        ops = [op for op, kind, _ in log if kind == "sequences"]
+        # one lookup and one store per healthy run, none for fields
+        assert sorted(ops) == ["get", "get", "put", "put"]
 
 
 # -- tier 1: degraded-mode chaos determinism ----------------------------------
