@@ -37,6 +37,7 @@ from itertools import permutations
 
 import numpy as np
 
+from repro import telemetry
 from repro.core.classify import Prediction, ProgramAnalysis
 from repro.core.heuristics import applicable_heuristics
 from repro.core.predictors import branch_random
@@ -329,8 +330,10 @@ def subset_experiment(datasets: list[OrderData],
     """
     if k is None:
         k = len(datasets) // 2
-    matrix, orders = miss_rate_matrix(datasets)
-    return _subset_sweep(matrix, orders, k)
+    with telemetry.get().span("orders.subset", category="harness",
+                              benchmarks=len(datasets), k=k):
+        matrix, orders = miss_rate_matrix(datasets)
+        return _subset_sweep(matrix, orders, k)
 
 
 def pairwise_order(datasets: list[OrderData]) -> tuple[str, ...]:
@@ -340,23 +343,25 @@ def pairwise_order(datasets: list[OrderData]) -> tuple[str, ...]:
     names = _dataset_names(datasets)
     num_h = len(names)
     wins = np.zeros(num_h, dtype=np.int64)
-    for a in range(num_h):
-        for b in range(a + 1, num_h):
-            misses_a = 0
-            misses_b = 0
-            for data in datasets:
-                both = data.applies[:, a] & data.applies[:, b]
-                if not both.any():
-                    continue
-                taken = data.taken[both]
-                not_taken = data.not_taken[both]
-                pa = data.predict_taken[both, a]
-                pb = data.predict_taken[both, b]
-                misses_a += int(np.where(pa, not_taken, taken).sum())
-                misses_b += int(np.where(pb, not_taken, taken).sum())
-            if misses_a < misses_b:
-                wins[a] += 1
-            elif misses_b < misses_a:
-                wins[b] += 1
+    with telemetry.get().span("orders.pairwise", category="harness",
+                              benchmarks=len(datasets)):
+        for a in range(num_h):
+            for b in range(a + 1, num_h):
+                misses_a = 0
+                misses_b = 0
+                for data in datasets:
+                    both = data.applies[:, a] & data.applies[:, b]
+                    if not both.any():
+                        continue
+                    taken = data.taken[both]
+                    not_taken = data.not_taken[both]
+                    pa = data.predict_taken[both, a]
+                    pb = data.predict_taken[both, b]
+                    misses_a += int(np.where(pa, not_taken, taken).sum())
+                    misses_b += int(np.where(pb, not_taken, taken).sum())
+                if misses_a < misses_b:
+                    wins[a] += 1
+                elif misses_b < misses_a:
+                    wins[b] += 1
     ranked = sorted(range(num_h), key=lambda h: (-wins[h], h))
     return tuple(names[h] for h in ranked)

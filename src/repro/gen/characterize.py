@@ -173,7 +173,7 @@ def characterize(programs: list[GenProgram], runner: SuiteRunner,
     to a serial run by construction.
     """
     if runner.parallelism > 1:
-        runner.prefetch(dataset=dataset)
+        runner.prefetch([(name, dataset) for name in runner.benchmark_names])
     clusters: dict[str, ClusterStats] = {}
     for gp in programs:
         run = runner.run(gp.name, dataset)

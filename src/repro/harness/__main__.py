@@ -12,9 +12,12 @@ Options:
                      the named ones — see repro.core.registry
     -O0              compile the suite without optimization (smoke mode)
     --degraded       fault-isolated mode: failures render as FAILED cells
-    --deadline S     per-run wall-clock watchdog (seconds)
-    --jobs N         shard compile+simulate across N worker processes
-                     (see docs/performance.md)
+    --deadline S     per-run wall-clock watchdog (seconds, > 0)
+    --jobs N         run every simulation the selected tables and graphs
+                     need (each (benchmark, dataset) run and each Graphs
+                     4-11 sequence pass) in one batch across N worker
+                     processes; compiles stay in this process (see
+                     docs/performance.md)
     --cache DIR      persistent artifact cache (defaults to
                      $REPRO_CACHE_DIR when set); --no-cache forces off
     --telemetry DIR  record spans + metrics; write a full report bundle
@@ -51,6 +54,7 @@ import os
 import time
 
 from repro import telemetry
+from repro.bench.suite import get
 from repro.core.registry import HeuristicSpecError, resolve_order
 from repro.errors import ReproError
 from repro.harness import (
@@ -86,6 +90,38 @@ def _absorb_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _selection(spec: str, option: str, valid: range) -> set[int]:
+    """The numbers of a comma list such as ``"1,2,4"``; raises
+    ``ValueError`` naming *option* for anything outside *valid*."""
+    numbers = set()
+    for item in filter(None, (i.strip() for i in spec.split(","))):
+        number = int(item) if item.isdecimal() else None
+        if number not in valid:
+            raise ValueError(f"{option}: no such number {item!r} (valid: "
+                             f"{valid.start}-{valid.stop - 1})")
+        numbers.add(number)
+    return numbers
+
+
+def report_demand(names: list[str], tables: set[int], graphs: set[int]
+                  ) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    """What the selected sections simulate: the (benchmark, dataset) runs,
+    in the order a serial report first reads them, and the runs whose
+    Graphs 4-11 sequence pass is read.  Table 1 and Graph 12 need none."""
+    pairs: list[tuple[str, str]] = []
+    if tables & set(range(2, 8)) or graphs & {1, 2, 3}:
+        pairs += [(name, "ref") for name in names]
+    sequences = []
+    if graphs & set(range(4, 12)):
+        sequences = [(name, "ref") for name in SEQUENCE_BENCHMARKS
+                     if name in names]
+        pairs += sequences
+    if 13 in graphs:
+        pairs += [(name, ds.name) for name in names
+                  for ds in get(name).datasets]
+    return list(dict.fromkeys(pairs)), sequences
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -116,9 +152,10 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="SECONDS",
                         help="per-run wall-clock watchdog deadline")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="shard (benchmark, dataset) compile+simulate "
-                             "jobs across N worker processes (default 1: "
-                             "serial)")
+                        help="run every (benchmark, dataset) simulation "
+                             "and Graphs 4-11 sequence pass of the report "
+                             "in one batch across N worker processes "
+                             "(default 1: serial)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="persistent content-addressed artifact cache "
                              "directory (default: $REPRO_CACHE_DIR when "
@@ -163,9 +200,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_absorb_dash_values(list(argv)))
     log = configure_from_args(args).getChild("harness")
 
-    tables = {int(t) for t in args.tables.split(",") if t}
-    graphs = {int(g) for g in args.graphs.split(",") if g}
     benchmarks = [b for b in args.benchmarks.split(",") if b] or None
+    try:
+        tables = _selection(args.tables, "--tables", range(1, 8))
+        graphs = _selection(args.graphs, "--graphs", range(1, 14))
+        for name in benchmarks or ():
+            get(name)
+    except KeyError as exc:  # from get()
+        log.error("--benchmarks: %s", exc.args[0])
+        return 2
+    except ValueError as exc:
+        log.error(str(exc))
+        return 2
     try:
         order = (resolve_order(args.order, args.heuristics)
                  if args.order is not None or args.heuristics is not None
@@ -177,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         args.cache or os.environ.get("REPRO_CACHE_DIR") or None)
     if args.jobs < 1:
         log.error("--jobs must be >= 1 (got %d)", args.jobs)
+        return 2
+    if args.deadline is not None and not args.deadline > 0:
+        log.error("--deadline must be > 0 seconds (got %s)", args.deadline)
         return 2
     runner = SuiteRunner(benchmarks=benchmarks, strict=not args.degraded,
                          wall_clock_deadline=args.deadline,
@@ -204,34 +253,52 @@ def main(argv: list[str] | None = None) -> int:
     }
     if order is not None:
         log.info("heuristic order: %s", " -> ".join(order))
+    pairs, sequences = report_demand(runner.benchmark_names, tables, graphs)
     try:
         with scope, telemetry.get().span(
                 "report", category="harness",
                 tables=sorted(tables), graphs=sorted(graphs)):
+            tm = telemetry.get()
+            if args.jobs > 1:
+                with tm.span("prefetch", category="harness",
+                             runs=len(pairs), sequences=len(sequences)):
+                    # compile once here so every shard ships preseeded;
+                    # a failure is memoized and surfaces where a serial
+                    # report would meet it
+                    for name in dict.fromkeys(name for name, _ in pairs):
+                        with contextlib.suppress(ReproError):
+                            runner.compiled(name)
+                    runner.prefetch(pairs, with_sequences=sequences)
+
             for number in sorted(tables):
-                print(generators[number]())
-                print()
+                with tm.span(f"table{number}", category="harness"):
+                    print(generators[number]())
+                    print()
 
             if 1 in graphs:
-                print(graph1(runner).describe())
-                print()
+                with tm.span("graph1", category="harness"):
+                    print(graph1(runner).describe())
+                    print()
             if 2 in graphs or 3 in graphs:
-                print(graphs2_3(runner).describe())
-                print()
+                with tm.span("graphs2_3", category="harness"):
+                    print(graphs2_3(runner).describe())
+                    print()
             if graphs & set(range(4, 12)):
-                seq = tuple(n for n in SEQUENCE_BENCHMARKS
-                            if benchmarks is None or n in benchmarks)
-                for sg in graphs4_11(runner, benchmarks=seq):
-                    print(sg.describe())
-                print()
+                with tm.span("graphs4_11", category="harness"):
+                    seq = tuple(name for name, _ in sequences)
+                    for sg in graphs4_11(runner, benchmarks=seq):
+                        print(sg.describe())
+                    print()
             if 12 in graphs:
-                family = graph12()
-                print("Graph 12 model: f(m,100) for m=0.025..0.30:")
-                for m, curve in family.items():
-                    print(f"  m={m:.3f}: f(100)={curve[-1]:.3f}")
-                print()
+                with tm.span("graph12", category="harness"):
+                    family = graph12()
+                    print("Graph 12 model: f(m,100) for m=0.025..0.30:")
+                    for m, curve in family.items():
+                        print(f"  m={m:.3f}: f(100)={curve[-1]:.3f}")
+                    print()
             if 13 in graphs:
-                print(graph13(runner).describe())
+                with tm.span("graph13", category="harness"):
+                    print(graph13(runner).describe())
 
             if args.range_table:
                 from repro.harness.evidence import evidence_table

@@ -10,9 +10,11 @@ and merges the results back into the parent deterministically:
   cache directory, optionally a pre-seeded or sabotaged executable);
 * the worker (:func:`run_shard`) replays exactly the serial runner's
   semantics — typed-error capture, transient-fuel retry, artifact-cache
-  consultation — inside a private telemetry sink, and returns a
-  :class:`ShardResult` carrying the profile, the compiled artifact, any
-  classified failure, and a mergeable telemetry snapshot;
+  consultation, and on request the Graphs 4-11 :func:`sequence_pass` —
+  inside a private telemetry sink, and returns a :class:`ShardResult`
+  carrying the profile, the compiled artifact (unless the job shipped
+  one), the sequence analyzers, any classified failure, and a mergeable
+  telemetry snapshot;
 * the parent (:class:`ParallelEngine`) collects results **in submission
   order** regardless of completion order, so downstream table/graph
   output is byte-identical to a serial run (the determinism suite in
@@ -30,6 +32,7 @@ tests exercise the crash taxonomy without a real segfault.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -42,21 +45,25 @@ from repro.telemetry import flight as _flight
 from repro.telemetry import tracing as _tracing
 from repro.bench.suite import Benchmark, get
 from repro.core.classify import ProgramAnalysis, classify_branches
+from repro.core.sequences import sequence_experiment, sequence_predictions
 from repro.errors import (
     ReproError, SimulationTimeout, WorkerCrashError, WorkerError,
     WorkerResultError,
 )
-from repro.harness.cache import ArtifactCache, compile_key, run_key
+from repro.harness.cache import (
+    ArtifactCache, compile_key, run_key, sequence_key,
+)
 from repro.harness.resilience import RunStatus, classify_failure
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, resolve_engine_name
+from repro.sim import Machine, SequenceAnalyzer, resolve_engine_name
 from repro.sim.profile import EdgeProfile
 from repro.telemetry.core import Telemetry, TelemetrySnapshot
 
 __all__ = [
     "ShardJob", "ShardResult", "ParallelEngine", "run_shard",
-    "compile_artifact", "CHAOS_WORKER_CRASH_ENV", "CHAOS_SLOW_WORKER_ENV",
+    "compile_artifact", "sequence_pass", "CHAOS_WORKER_CRASH_ENV",
+    "CHAOS_SLOW_WORKER_ENV",
 ]
 
 #: environment variable naming a benchmark whose shard worker must die
@@ -107,7 +114,8 @@ class ShardJob:
     engine: str | None = None
     cache_dir: str | None = None
     collect_telemetry: bool = False
-    #: pre-compiled (executable, analysis) — skips the compile phase
+    #: pre-compiled (executable, analysis) — skips the compile phase,
+    #: and the result does not echo it back
     preseeded: tuple[Executable, ProgramAnalysis] | None = None
     #: True when *preseeded* is a sabotaged artifact: bypass the cache
     #: entirely (its content does not correspond to the source key)
@@ -122,6 +130,8 @@ class ShardJob:
     trace_id: str = ""
     #: span id of the engine-side exec span this shard parents under
     trace_parent: str = ""
+    #: also run the Graphs 4-11 :func:`sequence_pass` over the profile
+    sequences: bool = False
 
 
 @dataclass
@@ -143,6 +153,9 @@ class ShardResult:
     #: wall-clock trace spans recorded inside the worker (compile,
     #: simulate, cache lease-wait) when the job carried a trace_id
     trace: list = field(default_factory=list)
+    #: the sequence analyzers when the job asked for them and the pass
+    #: succeeded (a failed pass is left for the parent to re-run)
+    sequences: dict[str, SequenceAnalyzer] | None = None
 
     @property
     def ok(self) -> bool:
@@ -196,6 +209,57 @@ def compile_artifact(benchmark: Benchmark, optimize: bool = True,
         cache.put(key, "compile", {"ok": True,
                                    "artifact": (executable, analysis)})
     return executable, analysis
+
+
+def _job_run_key(job: ShardJob, cache: ArtifactCache) -> str:
+    """The persistent run key of *job*'s (benchmark, dataset) execution."""
+    ckey = compile_key(job.benchmark, get(job.benchmark).source(),
+                       job.optimize, version=cache.version)
+    return run_key(ckey, job.dataset, job.inputs, job.fuel_budget,
+                   job.max_memory_bytes, job.retry_fuel_factor,
+                   version=cache.version,
+                   engine=resolve_engine_name(job.engine))
+
+
+def sequence_pass(job: ShardJob, executable: Executable,
+                  analysis: ProgramAnalysis, profile: EdgeProfile,
+                  cache: ArtifactCache | None = None,
+                  ) -> dict[str, SequenceAnalyzer]:
+    """The Graphs 4-11 sequence analyzers of *job*'s profiled run (see
+    :func:`~repro.core.sequences.sequence_experiment`); the serial runner
+    and the shard worker both call this.
+
+    The run is re-simulated under the job's effective inputs, memory cap,
+    deadline and engine, with the fuel its last permitted retry would get
+    (budget x ``fuel_scale(max_attempts)``), so a run that fit its
+    profile pass fits this one.  With a *cache* the analyzers are stored
+    under :func:`~repro.harness.cache.sequence_key` and a warm rerun
+    simulates nothing.  Failures raise and are never stored.
+    """
+    if cache is not None:
+        key = sequence_key(_job_run_key(job, cache),
+                           sequence_predictions(analysis, profile),
+                           version=cache.version)
+        analyzers = cache.get(key, "sequences")
+        if analyzers is not None:
+            return analyzers
+    policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
+    try:
+        with _telemetry.get().span("simulate", category="harness",
+                                   benchmark=job.benchmark,
+                                   dataset=job.dataset, kind="sequences"):
+            analyzers = sequence_experiment(
+                executable, profile, inputs=list(job.inputs),
+                analysis=analysis,
+                max_instructions=job.fuel_budget * policy.fuel_scale(
+                    policy.max_attempts),
+                engine=job.engine, max_memory_bytes=job.max_memory_bytes,
+                wall_clock_deadline=job.wall_clock_deadline)
+    except ReproError as exc:
+        raise exc.with_context(benchmark=job.benchmark, dataset=job.dataset)
+    if cache is not None:
+        cache.put(key, "sequences", analyzers)
+    return analyzers
 
 
 def _cacheable_failure(error: ReproError) -> bool:
@@ -294,14 +358,9 @@ def _run_shard_inner(job: ShardJob) -> ShardResult:
             return _failure(job, wrapped, cache)
 
         # -- consult the run cache -------------------------------------------
-        rkey = None
+        rkey = entry = None
         if cache is not None:
-            ckey = compile_key(job.benchmark, get(job.benchmark).source(),
-                               job.optimize, version=cache.version)
-            rkey = run_key(ckey, job.dataset, job.inputs, job.fuel_budget,
-                           job.max_memory_bytes, job.retry_fuel_factor,
-                           version=cache.version,
-                           engine=resolve_engine_name(job.engine))
+            rkey = _job_run_key(job, cache)
             if job.lease_wait_s > 0:
                 with _tracing.span("cache.lease_wait", "cache",
                                    benchmark=job.benchmark,
@@ -310,57 +369,63 @@ def _run_shard_inner(job: ShardJob) -> ShardResult:
                                               timeout_s=job.lease_wait_s)
             else:
                 entry = cache.get(rkey, "run")
-            if entry is not None:
-                if entry.get("ok"):
-                    return ShardResult(
-                        benchmark=job.benchmark, dataset=job.dataset,
-                        status=RunStatus.OK, executable=executable,
-                        analysis=analysis, profile=entry["profile"],
-                        output=entry["output"],
-                        instr_count=entry["instr_count"],
-                        retried=entry.get("retried", False),
-                        cache_stats=cache.stats())
+        if entry is not None:
+            if not entry.get("ok"):
                 return ShardResult(
                     benchmark=job.benchmark, dataset=job.dataset,
                     status=classify_failure(entry["error"]),
                     error=entry["error"],
                     retried=entry.get("retried", False),
                     cache_stats=cache.stats())
+            profile, output = entry["profile"], entry["output"]
+            instr_count = entry["instr_count"]
+            retried = entry.get("retried", False)
+        else:
+            # -- execute (same RetryPolicy semantics as the serial runner) ---
+            policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
+            attempt = 1
+            while True:
+                try:
+                    with _tracing.span("worker.simulate", "worker",
+                                       benchmark=job.benchmark,
+                                       dataset=job.dataset, attempt=attempt):
+                        profile, status = _simulate(
+                            job, executable,
+                            job.fuel_budget * policy.fuel_scale(attempt), tm)
+                    break
+                except ReproError as exc:
+                    exc.with_context(benchmark=job.benchmark,
+                                     dataset=job.dataset)
+                    if not policy.should_retry(exc, attempt):
+                        return _failure(job, exc, cache, rkey,
+                                        retried=attempt > 1)
+                    attempt += 1
+                    tm.counter("harness.retries").inc()
+                    _flight.record("shard.retry", benchmark=job.benchmark,
+                                   dataset=job.dataset, attempt=attempt,
+                                   error=exc.code)
+            output, instr_count = status.output, status.instr_count
+            retried = attempt > 1
+            if cache is not None:
+                cache.put(rkey, "run", {
+                    "ok": True, "profile": profile, "output": output,
+                    "instr_count": instr_count, "retried": retried})
 
-        # -- execute (same RetryPolicy semantics as the serial runner) -------
-        policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
-        attempt = 1
-        while True:
-            try:
-                with _tracing.span("worker.simulate", "worker",
-                                   benchmark=job.benchmark,
-                                   dataset=job.dataset, attempt=attempt):
-                    profile, status = _simulate(
-                        job, executable,
-                        job.fuel_budget * policy.fuel_scale(attempt), tm)
-                break
-            except ReproError as exc:
-                exc.with_context(benchmark=job.benchmark,
-                                 dataset=job.dataset)
-                if not policy.should_retry(exc, attempt):
-                    return _failure(job, exc, cache, rkey,
-                                    retried=attempt > 1)
-                attempt += 1
-                tm.counter("harness.retries").inc()
-                _flight.record("shard.retry", benchmark=job.benchmark,
-                               dataset=job.dataset, attempt=attempt,
-                               error=exc.code)
-        retried = attempt > 1
-
-        if cache is not None:
-            cache.put(rkey, "run", {
-                "ok": True, "profile": profile, "output": status.output,
-                "instr_count": status.instr_count, "retried": retried})
+        analyzers = None
+        if job.sequences:
+            # a failed pass is dropped: the parent re-runs it, so it
+            # raises or renders FAILED exactly as a serial pass does
+            with contextlib.suppress(ReproError):
+                analyzers = sequence_pass(job, executable, analysis,
+                                          profile, cache)
+        shipped = job.preseeded is not None
         return ShardResult(
             benchmark=job.benchmark, dataset=job.dataset,
-            status=RunStatus.OK, executable=executable, analysis=analysis,
-            profile=profile, output=status.output,
-            instr_count=status.instr_count, retried=retried,
+            status=RunStatus.OK,
+            executable=None if shipped else executable,
+            analysis=None if shipped else analysis,
+            profile=profile, output=output, instr_count=instr_count,
+            retried=retried, sequences=analyzers,
             cache_stats=cache.stats() if cache is not None else {})
 
 

@@ -21,13 +21,16 @@ fresh per execution and only published to the memo cache on success.
 Scale-out (this layer's two new seams — see docs/performance.md):
 
 ``parallelism=N``
-    :meth:`SuiteRunner.all_outcomes` (the entry point of every table and
-    graph generator) first *prefetches* all missing (benchmark, dataset)
-    shards through :class:`~repro.harness.parallel.ParallelEngine`, a
-    process pool whose workers replay exactly the serial semantics and
-    whose results are merged back in suite order — table/graph output is
-    byte-identical to a serial run.  Worker telemetry snapshots are
-    folded into the parent sink under per-shard ``parallel:shard`` spans.
+    :meth:`SuiteRunner.prefetch` executes a batch of missing (benchmark,
+    dataset) shards, optionally with their Graphs 4-11 sequence passes,
+    through :class:`~repro.harness.parallel.ParallelEngine`, a process
+    pool whose workers replay exactly the serial semantics and whose
+    results are merged back in submission order — table/graph output is
+    byte-identical to a serial run.  ``python -m repro.harness`` runs
+    one batch for the whole report; :meth:`SuiteRunner.all_outcomes`
+    prefetches the ``ref`` runs of callers that skip it.  Worker
+    telemetry snapshots are folded into the parent sink under per-shard
+    ``parallel:shard`` spans.
 
 ``cache_dir=PATH``
     Every compile, run, and Graphs 4-11 sequence pass additionally
@@ -41,6 +44,7 @@ Scale-out (this layer's two new seams — see docs/performance.md):
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
@@ -48,14 +52,11 @@ from time import perf_counter
 from repro import telemetry as _telemetry
 from repro.bench.suite import Benchmark, Dataset, get, suite
 from repro.core.classify import ProgramAnalysis, classify_branches
-from repro.core.sequences import sequence_experiment, sequence_predictions
 from repro.errors import ReproError
-from repro.harness.cache import (
-    ArtifactCache, compile_key, run_key, sequence_key,
-)
+from repro.harness.cache import ArtifactCache
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, SequenceAnalyzer, resolve_engine_name
+from repro.sim import Machine, SequenceAnalyzer
 from repro.sim.profile import EdgeProfile
 
 __all__ = ["BenchmarkRun", "SuiteRunner"]
@@ -139,9 +140,10 @@ class SuiteRunner:
         pipeline) — the harness's ``-O0`` smoke mode for checking that
         results are not an artifact of the optimizer.
     parallelism:
-        Worker-process count for :meth:`all_outcomes` prefetching
-        (``1`` = serial, the historical behavior).  Individual
-        :meth:`run` / :meth:`outcome` calls stay serial either way.
+        Worker-process count for :meth:`prefetch` batches (``1`` =
+        serial, the historical behavior).  :meth:`run`, :meth:`outcome`
+        and :meth:`sequences` serve what a batch memoized and simulate
+        in-process whatever it did not cover.
     cache_dir:
         Directory for the persistent content-addressed artifact cache
         (``None`` disables persistence).
@@ -185,8 +187,9 @@ class SuiteRunner:
         self.engine = engine
         self.cache = ArtifactCache(cache_dir) if cache_dir else None
         self._compiled: dict[str, tuple[Executable, ProgramAnalysis]] = {}
-        self._compile_keys: dict[str, str] = {}
         self._runs: dict[tuple[str, str], BenchmarkRun] = {}
+        self._sequences: dict[tuple[str, str],
+                              dict[str, SequenceAnalyzer]] = {}
         # negative caches (degraded mode): compile failures per benchmark,
         # run failures per (benchmark, dataset, limits-fingerprint) — the
         # fingerprint keeps a fault injected under one set of limits from
@@ -248,30 +251,13 @@ class SuiteRunner:
             return None
         return self.cache
 
-    def _compile_key_for(self, name: str) -> str:
-        key = self._compile_keys.get(name)
-        if key is None:
-            key = compile_key(name, get(name).source(), self.optimize,
-                              version=self.cache.version)
-            self._compile_keys[name] = key
-        return key
-
     def _run_key_for(self, name: str, dataset: str) -> str | None:
         """Persistent run-cache key, or ``None`` when it cannot be formed
         (unknown benchmark/dataset — the execution path raises the typed
         error instead)."""
-        try:
-            ds = get(name).dataset(dataset)
-        except (KeyError, ValueError):
-            return None
-        budget, keep, memory = self._effective_limits(name, dataset)
-        inputs = tuple(ds.inputs)
-        if keep is not None:
-            inputs = inputs[:keep]
-        return run_key(self._compile_key_for(name), dataset, inputs,
-                       budget, memory, self._effective_retry_factor,
-                       version=self.cache.version,
-                       engine=resolve_engine_name(self.engine))
+        from repro.harness.parallel import _job_run_key
+        job = self._shard_job(name, dataset)
+        return None if job is None else _job_run_key(job, self.cache)
 
     # -- compilation -----------------------------------------------------------
 
@@ -474,44 +460,20 @@ class SuiteRunner:
 
     def sequences(self, name: str, dataset: str = "ref"
                   ) -> dict[str, SequenceAnalyzer]:
-        """The Graphs 4-11 sequence analyzers of one run (see
-        :func:`~repro.core.sequences.sequence_experiment`).
-
-        The run is re-simulated under its own effective inputs, memory
-        cap, deadline, and engine, with the fuel its last permitted
-        retry would get, so a run that fit its profile pass fits this
-        one.  With a persistent cache the analyzers are stored under
-        :func:`~repro.harness.cache.sequence_key` and a warm rerun
-        simulates nothing.  Failures raise and are never stored.
-        """
+        """The Graphs 4-11 sequence analyzers of one run, memoized per
+        (benchmark, dataset that ran) — see
+        :func:`~repro.harness.parallel.sequence_pass` for the limits the
+        pass runs under and its persistent cache entry.  Failures raise
+        and are never memoized."""
+        from repro.harness.parallel import sequence_pass
         run = self.run(name, dataset)
-        actual = run.dataset.name
-        budget, keep, memory = self._effective_limits(name, actual)
-        inputs = list(run.dataset.inputs[:keep])
-        cache = self._disk_cache_for(name)
-        if cache is not None:
-            key = sequence_key(self._run_key_for(name, actual),
-                               sequence_predictions(run.analysis, run.profile),
-                               version=cache.version)
-            analyzers = cache.get(key, "sequences")
-            if analyzers is not None:
-                return analyzers
-        policy = self.retry_policy
-        try:
-            with _telemetry.get().span("simulate", category="harness",
-                                       benchmark=name, dataset=actual,
-                                       kind="sequences"):
-                analyzers = sequence_experiment(
-                    run.executable, run.profile, inputs=inputs,
-                    analysis=run.analysis,
-                    max_instructions=budget * policy.fuel_scale(
-                        policy.max_attempts),
-                    engine=self.engine, max_memory_bytes=memory,
-                    wall_clock_deadline=self.wall_clock_deadline)
-        except ReproError as exc:
-            raise exc.with_context(benchmark=name, dataset=actual)
-        if cache is not None:
-            cache.put(key, "sequences", analyzers)
+        key = (name, run.dataset.name)
+        analyzers = self._sequences.get(key)
+        if analyzers is None:
+            analyzers = sequence_pass(
+                self._shard_job(*key), run.executable, run.analysis,
+                run.profile, self._disk_cache_for(name))
+            self._sequences[key] = analyzers
         return analyzers
 
     # -- parallel prefetch -----------------------------------------------------
@@ -582,6 +544,9 @@ class SuiteRunner:
                 profile=result.profile, output=result.output,
                 instr_count=result.instr_count)
             self._runs[(result.benchmark, result.dataset)] = run
+            if result.sequences is not None:
+                self._sequences[(result.benchmark, result.dataset)] = \
+                    result.sequences
         elif result.status is RunStatus.COMPILE_FAILED:
             # seed the compile negative cache; the serial replay loop
             # classifies and counts it exactly like a cold compile failure
@@ -592,21 +557,29 @@ class SuiteRunner:
                                   result.status, result.error,
                                   retried=result.retried)
 
-    def prefetch(self, dataset: str = "ref") -> int:
-        """Execute every missing (benchmark, *dataset*) shard in parallel.
+    def prefetch(self, pairs: list[tuple[str, str]],
+                 with_sequences: Collection[tuple[str, str]] = ()) -> int:
+        """Execute every missing (benchmark, dataset) shard of *pairs* in
+        one parallel batch; returns the shard count.
 
         Populates the memo caches so the subsequent serial walk (tables,
-        graphs, :meth:`outcome`) is all hits; returns the shard count.
-        No-op when ``parallelism`` is 1 or fewer than two shards are
-        missing (pool overhead would exceed the win).
+        graphs, :meth:`outcome`) is all hits.  A shard whose pair is in
+        *with_sequences* also runs its :meth:`sequences` pass in the
+        worker; a pass that fails there is not memoized, so
+        :meth:`sequences` re-runs it and raises or renders it exactly as
+        a serial run does.  No-op when ``parallelism`` is 1 or fewer than
+        two shards are missing (pool overhead would exceed the win).
         """
         if self.parallelism <= 1:
             return 0
         from repro.harness.parallel import ParallelEngine
-        pending = [name for name in self.benchmark_names
-                   if self._needs_run(name, dataset)]
-        jobs = [job for job in (self._shard_job(name, dataset)
-                                for name in pending) if job is not None]
+        jobs = []
+        for name, dataset in dict.fromkeys(pairs):
+            job = (self._shard_job(name, dataset)
+                   if self._needs_run(name, dataset) else None)
+            if job is not None:
+                job.sequences = (name, dataset) in with_sequences
+                jobs.append(job)
         if len(jobs) < 2:
             return 0
         tm = _telemetry.get()
@@ -628,7 +601,7 @@ class SuiteRunner:
         degraded-mode FAILED classification exactly.
         """
         if self.parallelism > 1:
-            self.prefetch(dataset=dataset)
+            self.prefetch([(name, dataset) for name in self.benchmark_names])
         return [self.outcome(name, dataset) for name in self.benchmark_names]
 
     def all_runs(self, dataset: str = "ref") -> list[BenchmarkRun]:

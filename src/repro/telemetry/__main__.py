@@ -183,7 +183,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
         with sink.span("pipeline", category="bench",
                        dataset=args.dataset):
             if args.jobs > 1:
-                runner.prefetch(args.dataset)
+                runner.prefetch([(name, args.dataset)
+                                 for name in runner.benchmark_names])
             for name in runner.benchmark_names:
                 runner.run(name, args.dataset)
     config = {

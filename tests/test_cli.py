@@ -137,3 +137,27 @@ class TestHarnessCli:
         assert "error[simulation-timeout]" in err
         assert "benchmark=queens" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option, argv", [
+        ("--tables", ["--tables", "9"]),
+        ("--tables", ["--tables", "x"]),
+        ("--graphs", ["--graphs", "14"]),
+        ("--benchmarks", ["--tables", "1", "--benchmarks", "nosuch"]),
+        ("--benchmarks", ["--tables", "2", "--benchmarks", "queens,nosuch"]),
+        ("--benchmarks", ["--tables", "2", "--benchmarks", "nosuch",
+                          "--jobs", "2"]),
+        ("--deadline", ["--deadline", "0"]),
+        ("--deadline", ["--deadline", "-1"]),
+    ])
+    def test_bad_selection_exits_2_before_running(self, option, argv,
+                                                  capsys):
+        from repro.harness.__main__ import main as harness_main
+        # the leading options keep a regression cheap; later ones win
+        assert harness_main(["--benchmarks", "queens", "--tables", "",
+                             "--graphs", "", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines()
+                  if "ERROR" in line]
+        assert len(errors) == 1 and option in errors[0]

@@ -293,6 +293,16 @@ class TestSequencePass:
                            benchmarks=("queens",))
         assert sg.failed and "FAILED" in sg.describe()
 
+    def test_second_call_is_memoized(self):
+        sink = Telemetry()
+        with telemetry.use(sink):
+            runner = SuiteRunner(["queens"])
+            first = runner.sequences("queens")
+            assert sink.counters()["sim.runs"] == 2
+            assert runner.sequences("queens") is first
+            graphs4_11(runner, benchmarks=("queens",))
+        assert sink.counters()["sim.runs"] == 2
+
     def test_every_simulation_has_a_simulate_span(self):
         sink = Telemetry()
         with telemetry.use(sink):

@@ -16,16 +16,24 @@ tier-1 tests here cover the 3-benchmark MINI_SUITE; the tier-2 tests
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+
 import pytest
 
 from repro import telemetry
-from repro.errors import WorkerCrashError, WorkerError
+from repro.errors import SimulationLimitExceeded, WorkerCrashError, WorkerError
 from repro.harness import (
     SEQUENCE_BENCHMARKS, RunStatus, SuiteRunner,
     graph1, graph13, graphs2_3, graphs4_11,
     table1, table2, table3, table4, table5, table6, table7,
 )
-from repro.harness.parallel import CHAOS_WORKER_CRASH_ENV
+from repro.harness import parallel
+from repro.harness.__main__ import main as harness_main, report_demand
+from repro.harness.parallel import CHAOS_WORKER_CRASH_ENV, run_shard
+from repro.sim import Machine
 from repro.telemetry import Telemetry
 from repro.testing.chaos import sabotage
 
@@ -125,12 +133,13 @@ def log_cache_traffic(cache) -> list[tuple[str, str, str]]:
     return log
 
 
+@pytest.fixture(scope="module")
+def serial_sequences():
+    return sequence_report(SuiteRunner(MINI_SUITE))
+
+
 class TestSequenceCache:
     """Graphs 4-11 sequence passes are cached run artifacts."""
-
-    @pytest.fixture(scope="class")
-    def serial_sequences(self):
-        return sequence_report(SuiteRunner(MINI_SUITE))
 
     def test_warm_rerun_simulates_nothing(self, serial_sequences, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -169,6 +178,204 @@ class TestSequenceCache:
         ops = [op for op, kind, _ in log if kind == "sequences"]
         # one lookup and one store per healthy run, none for fields
         assert sorted(ops) == ["get", "get", "put", "put"]
+
+
+# -- tier 1: the report's one batch -------------------------------------------
+
+
+def spy_machine_runs(patch) -> list:
+    """Every ``Machine.run`` call made in *this* process from now on;
+    forked workers inherit the spy, but their calls stay in the worker."""
+    calls = []
+    run = Machine.run
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return run(self, *args, **kwargs)
+
+    patch.setattr(Machine, "run", spy)
+    return calls
+
+
+def cli_report(*argv: str) -> str:
+    """stdout of ``python -m repro.harness`` over the mini suite (a later
+    ``--benchmarks`` wins)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert harness_main(["--benchmarks", ",".join(MINI_SUITE),
+                             *argv]) == 0
+    return out.getvalue()
+
+
+def span_events(bundle) -> list[dict]:
+    lines = (bundle / "events.jsonl").read_text().splitlines()
+    return [e for e in map(json.loads, lines) if e["event"] == "span"]
+
+
+class TestReportBatch:
+    """``--jobs 2`` runs every simulation of the report in one pool batch
+    and prints exactly what ``--jobs 1`` prints (default selection: all
+    seven tables and Graphs 1, 2, 4, 12 and 13)."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        out = {}
+        for jobs in ("1", "2"):
+            bundle = tmp_path_factory.mktemp(f"jobs{jobs}")
+            with pytest.MonkeyPatch.context() as patch:
+                calls = spy_machine_runs(patch)
+                text = cli_report("--jobs", jobs, "--telemetry", str(bundle))
+            out[jobs] = (text, calls, bundle)
+        return out
+
+    def test_stdout_is_byte_identical(self, reports):
+        assert reports["2"][0] == reports["1"][0]
+        assert "Graph 13" in reports["1"][0]
+
+    def test_parent_simulates_nothing(self, reports):
+        assert len(reports["1"][1]) == 3 * len(MINI_SUITE)
+        assert reports["2"][1] == []
+
+    def test_one_pool_batch_of_every_run(self, reports):
+        bundle = reports["2"][2]
+        events = span_events(bundle)
+        pools = [e for e in events if e["name"] == "parallel:pool"]
+        assert [e["args"]["jobs"] for e in pools] == [3 * len(MINI_SUITE)]
+        # every benchmark compiles once, in the parent, before the pool
+        (prefetch,) = [e for e in events if e["name"] == "prefetch"]
+        assert [e["parent_id"] for e in events if e["name"] == "compile"] \
+            == [prefetch["span_id"]] * len(MINI_SUITE)
+        counters = json.loads(
+            (bundle / "telemetry.json").read_text())["counters"]
+        assert counters["harness.parallel.shards"] == 3 * len(MINI_SUITE)
+        assert counters["sim.runs"] == 3 * len(MINI_SUITE)
+
+    def test_every_section_has_a_span_under_report(self, reports):
+        sections = ["table1", "table2", "table3", "table4", "table5",
+                    "table6", "table7", "graph1", "graphs2_3",
+                    "graphs4_11", "graph12", "graph13"]
+        for jobs in ("1", "2"):
+            events = span_events(reports[jobs][2])
+            (report,) = [e for e in events if e["name"] == "report"]
+            children = [e["name"] for e in events
+                        if e["parent_id"] == report["span_id"]]
+            batch = ["prefetch"] if jobs == "2" else []
+            assert children == batch + sections
+            names = [e["name"] for e in events]
+            # Table 4 and Graphs 2-3 each run the subset experiment
+            assert names.count("orders.subset") == 2
+            assert names.count("orders.pairwise") == 1
+
+    def test_sequence_passes_ride_in_the_batch(self, monkeypatch):
+        argv = ["--benchmarks", "quad,scc", "--tables", "", "--graphs", "4"]
+        serial = cli_report(*argv)
+        calls = spy_machine_runs(monkeypatch)
+        assert cli_report(*argv, "--jobs", "2") == serial
+        assert "Graph (sequences) quad" in serial
+        assert calls == []
+
+    def test_demand_covers_what_each_section_reads(self):
+        names = ["cg", "queens"]
+        refs = [("cg", "ref"), ("queens", "ref")]
+        assert report_demand(names, {1}, {12}) == ([], [])
+        assert report_demand(names, {4}, set()) == (refs, [])
+        assert report_demand(names, set(), {5}) == ([("cg", "ref")],
+                                                    [("cg", "ref")])
+        pairs, sequences = report_demand(names, {2}, {4, 13})
+        assert pairs == refs + [("cg", "small"), ("cg", "alt"),
+                                ("queens", "small"), ("queens", "alt")]
+        assert sequences == [("cg", "ref")]
+
+    def test_preseeded_shards_do_not_echo_the_artifact(self):
+        runner = SuiteRunner(["queens"])
+        job = runner._shard_job("queens", "small")
+        assert job.preseeded is None
+        fresh = run_shard(job)
+        assert fresh.ok and fresh.executable is not None
+        runner.compiled("queens")
+        seeded = run_shard(runner._shard_job("queens", "small"))
+        assert seeded.ok and seeded.executable is None \
+            and seeded.analysis is None
+        assert seeded.instr_count == fresh.instr_count
+
+
+class TestBatchSequencePass:
+    """The sequence pass rides in its run's shard; a pass that fails in a
+    worker is re-run by the parent, exactly as a serial pass."""
+
+    PAIRS = [(name, "ref") for name in MINI_SUITE]
+
+    def batch_runner(self, **kwargs) -> SuiteRunner:
+        """A runner prefetched the way ``python -m repro.harness`` does it."""
+        runner = SuiteRunner(MINI_SUITE, parallelism=2, **kwargs)
+        for name in MINI_SUITE:
+            runner.compiled(name)
+        assert runner.prefetch(self.PAIRS, with_sequences=self.PAIRS) \
+            == len(self.PAIRS)
+        return runner
+
+    @staticmethod
+    def fail_pass(patch, in_parent: bool) -> None:
+        """Make every sequence pass in a worker (and, with *in_parent*,
+        in this process too) fail; workers inherit the patch."""
+        parent = os.getpid()
+        real = parallel.sequence_experiment
+
+        def failing(*args, **kwargs):
+            if in_parent or os.getpid() != parent:
+                raise SimulationLimitExceeded("injected sequence failure")
+            return real(*args, **kwargs)
+
+        patch.setattr(parallel, "sequence_experiment", failing)
+
+    def test_batch_fills_the_sequence_memo(self, serial_sequences,
+                                           monkeypatch):
+        calls = spy_machine_runs(monkeypatch)
+        runner = self.batch_runner()
+        assert sequence_report(runner) == serial_sequences
+        assert calls == []
+
+    def test_pass_failed_in_a_worker_is_rerun_in_the_parent(
+            self, serial_sequences, monkeypatch):
+        self.fail_pass(monkeypatch, in_parent=False)
+        calls = spy_machine_runs(monkeypatch)
+        runner = self.batch_runner()
+        assert sequence_report(runner) == serial_sequences
+        assert len(calls) == len(MINI_SUITE)
+
+    def test_strict_raises_the_serial_error(self, monkeypatch):
+        self.fail_pass(monkeypatch, in_parent=True)
+        errors = []
+        for runner in (SuiteRunner(MINI_SUITE), self.batch_runner()):
+            with pytest.raises(SimulationLimitExceeded) as info:
+                sequence_report(runner)
+            errors.append(info.value.oneline())
+        assert errors[0] == errors[1]
+        assert "benchmark=queens" in errors[0]
+
+    def test_degraded_renders_the_serial_placeholder(self, monkeypatch):
+        self.fail_pass(monkeypatch, in_parent=True)
+        serial = sequence_report(SuiteRunner(MINI_SUITE, strict=False))
+        assert serial.count("FAILED") == len(MINI_SUITE)
+        assert sequence_report(self.batch_runner(strict=False)) == serial
+
+    def test_cold_batch_stores_and_warm_batch_simulates_nothing(
+            self, serial_sequences, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        calls = spy_machine_runs(monkeypatch)
+        cold = self.batch_runner(cache_dir=cache_dir)
+        assert sequence_report(cold) == serial_sequences
+        assert calls == []  # every run and pass was stored by a worker
+        # compile entries from the parent, run and sequences entries
+        # folded in from the workers' stats
+        assert cold.cache.stores == 3 * len(MINI_SUITE)
+        sink = Telemetry()
+        with telemetry.use(sink):
+            warm = self.batch_runner(cache_dir=cache_dir)
+            assert sequence_report(warm) == serial_sequences
+        assert sink.counters().get("sim.runs", 0) == 0
+        assert warm.cache.misses == 0
+        assert warm.cache.hits == 3 * len(MINI_SUITE)
 
 
 # -- tier 1: degraded-mode chaos determinism ----------------------------------
