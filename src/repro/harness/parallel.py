@@ -1,28 +1,36 @@
-"""Process-pool execution engine for the experiment harness.
+"""The execution core and the process-pool engine of the harness.
 
-Ball & Larus's methodology is embarrassingly parallel: every (benchmark,
-dataset) edge profile is independent of every other.  This module shards
-compile+simulate jobs across a :class:`concurrent.futures.ProcessPoolExecutor`
-and merges the results back into the parent deterministically:
+:func:`execute` is the one definition of a suite run: compile the
+benchmark (or adopt a pre-seeded artifact), consult the run cache,
+simulate under the shared :class:`~repro.harness.retry.RetryPolicy` and
+store, and on request run the Graphs 4-11 :func:`sequence_pass`.  It never
+raises for pipeline failures; they come back as a classified
+:class:`ShardResult`.  Three callers share it:
 
-* each :class:`ShardJob` is a fully self-describing, picklable work order
-  (effective inputs/limits after chaos overrides, optimization level,
-  cache directory, optionally a pre-seeded or sabotaged executable);
-* the worker (:func:`run_shard`) replays exactly the serial runner's
-  semantics — typed-error capture, transient-fuel retry, artifact-cache
-  consultation, and on request the Graphs 4-11 :func:`sequence_pass` —
-  inside a private telemetry sink, and returns a :class:`ShardResult`
-  carrying the profile, the compiled artifact (unless the job shipped
-  one), the sequence analyzers, any classified failure, and a mergeable
-  telemetry snapshot;
-* the parent (:class:`ParallelEngine`) collects results **in submission
-  order** regardless of completion order, so downstream table/graph
-  output is byte-identical to a serial run (the determinism suite in
-  ``tests/test_parallel_runner.py`` enforces this);
-* a worker process that dies without returning (killed, OOM, broken
-  pool) is converted into a typed
-  :class:`~repro.errors.WorkerCrashError` outcome rather than aborting
-  the whole report.
+* the serial :class:`~repro.harness.runner.SuiteRunner` calls it inline
+  with its own cache and compiled artifact;
+* :class:`ParallelEngine` maps :func:`run_shard` over a fork-based
+  :class:`concurrent.futures.ProcessPoolExecutor` (Ball & Larus's
+  methodology is embarrassingly parallel: every (benchmark, dataset) edge
+  profile is independent of every other);
+* the prediction service (:mod:`repro.service`) submits the same
+  :func:`run_shard` to its supervised worker slots.
+
+:func:`run_shard` adds only what a worker needs around the core: the
+chaos seams, a private telemetry sink whose snapshot the parent merges,
+the job's distributed trace, and the traffic of the cache it built from
+``job.cache_dir``.  Each :class:`ShardJob` is a fully self-describing,
+picklable work order (effective inputs/limits after chaos overrides,
+optimization level, cache directory, optionally a pre-seeded or sabotaged
+executable).
+
+The engine collects results **in submission order** regardless of
+completion order, so downstream table/graph output is byte-identical to a
+serial run (the determinism suite in ``tests/test_parallel_runner.py``
+enforces this), and converts a worker process that dies without returning
+(killed, OOM, broken pool) into a typed
+:class:`~repro.errors.WorkerCrashError` outcome rather than aborting the
+whole report.
 
 Chaos seam: setting the environment variable
 ``REPRO_CHAOS_WORKER_CRASH=<benchmark>`` makes any worker handed that
@@ -41,6 +49,7 @@ from dataclasses import dataclass, field
 from time import perf_counter, sleep
 
 from repro import telemetry as _telemetry
+from repro._version import __version__
 from repro.telemetry import flight as _flight
 from repro.telemetry import tracing as _tracing
 from repro.bench.suite import Benchmark, get
@@ -61,7 +70,7 @@ from repro.sim.profile import EdgeProfile
 from repro.telemetry.core import Telemetry, TelemetrySnapshot
 
 __all__ = [
-    "ShardJob", "ShardResult", "ParallelEngine", "run_shard",
+    "ShardJob", "ShardResult", "ParallelEngine", "execute", "run_shard",
     "compile_artifact", "sequence_pass", "CHAOS_WORKER_CRASH_ENV",
     "CHAOS_SLOW_WORKER_ENV",
 ]
@@ -136,7 +145,9 @@ class ShardJob:
 
 @dataclass
 class ShardResult:
-    """What one worker hands back: a run, or a classified failure."""
+    """What :func:`execute` returns: a run, or a classified failure
+    (:func:`run_shard` adds the worker's cache traffic, telemetry and
+    trace)."""
 
     benchmark: str
     dataset: str
@@ -163,7 +174,7 @@ class ShardResult:
 
 
 # --------------------------------------------------------------------------
-# shared compile helper (used by the worker AND the serial runner)
+# compile, keys, and the sequence pass
 # --------------------------------------------------------------------------
 
 def compile_artifact(benchmark: Benchmark, optimize: bool = True,
@@ -211,13 +222,17 @@ def compile_artifact(benchmark: Benchmark, optimize: bool = True,
     return executable, analysis
 
 
-def _job_run_key(job: ShardJob, cache: ArtifactCache) -> str:
+def _job_compile_key(job: ShardJob, version: str = __version__) -> str:
+    """The persistent compile key of *job*'s benchmark."""
+    return compile_key(job.benchmark, get(job.benchmark).source(),
+                       job.optimize, version=version)
+
+
+def _job_run_key(job: ShardJob, version: str = __version__) -> str:
     """The persistent run key of *job*'s (benchmark, dataset) execution."""
-    ckey = compile_key(job.benchmark, get(job.benchmark).source(),
-                       job.optimize, version=cache.version)
-    return run_key(ckey, job.dataset, job.inputs, job.fuel_budget,
-                   job.max_memory_bytes, job.retry_fuel_factor,
-                   version=cache.version,
+    return run_key(_job_compile_key(job, version), job.dataset, job.inputs,
+                   job.fuel_budget, job.max_memory_bytes,
+                   job.retry_fuel_factor, version=version,
                    engine=resolve_engine_name(job.engine))
 
 
@@ -227,7 +242,7 @@ def sequence_pass(job: ShardJob, executable: Executable,
                   ) -> dict[str, SequenceAnalyzer]:
     """The Graphs 4-11 sequence analyzers of *job*'s profiled run (see
     :func:`~repro.core.sequences.sequence_experiment`); the serial runner
-    and the shard worker both call this.
+    and :func:`execute` both call this.
 
     The run is re-simulated under the job's effective inputs, memory cap,
     deadline and engine, with the fuel its last permitted retry would get
@@ -237,7 +252,7 @@ def sequence_pass(job: ShardJob, executable: Executable,
     simulates nothing.  Failures raise and are never stored.
     """
     if cache is not None:
-        key = sequence_key(_job_run_key(job, cache),
+        key = sequence_key(_job_run_key(job, cache.version),
                            sequence_predictions(analysis, profile),
                            version=cache.version)
         analyzers = cache.get(key, "sequences")
@@ -269,13 +284,145 @@ def _cacheable_failure(error: ReproError) -> bool:
 
 
 # --------------------------------------------------------------------------
-# the worker
+# the execution core
 # --------------------------------------------------------------------------
 
-def run_shard(job: ShardJob) -> ShardResult:
-    """Worker entry point: execute one shard inside a private telemetry
-    sink and return a picklable result (never raises for pipeline
-    failures — those come back classified)."""
+def _failure(job: ShardJob, error: ReproError,
+             retried: bool = False) -> ShardResult:
+    # every failure ships the process's black box (no-op if a deeper
+    # layer — e.g. the simulator's crash snapshot — already did)
+    error.attach_flight(_flight.dump())
+    return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
+                       status=classify_failure(error), error=error,
+                       retried=retried)
+
+
+def _compile_step(job: ShardJob, cache: ArtifactCache | None
+                  ) -> ShardResult:
+    """:func:`execute`'s first step, and all of a service compile order:
+    adopt the pre-seeded (or sabotaged) artifact or compile the
+    benchmark.  An OK result carries the (executable, analysis) pair."""
+    try:
+        with _tracing.span("worker.compile", "worker",
+                           benchmark=job.benchmark):
+            executable, analysis = job.preseeded or compile_artifact(
+                get(job.benchmark), optimize=job.optimize, cache=cache)
+    except ReproError as exc:
+        return _failure(job, exc)
+    except Exception as exc:  # unknown benchmark, etc.
+        return _failure(job, ReproError(
+            f"shard setup failed: {type(exc).__name__}: {exc}",
+            benchmark=job.benchmark, dataset=job.dataset, phase="compile"))
+    return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
+                       status=RunStatus.OK, executable=executable,
+                       analysis=analysis)
+
+
+def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
+    """Execute one (benchmark, dataset) run: the one definition of a
+    suite run, whether the serial runner calls it inline, a pool worker
+    runs it (:func:`run_shard`), or the service submits it.
+
+    Compiles the benchmark (or adopts ``job.preseeded``), consults the
+    run cache, simulates under :class:`~repro.harness.retry.RetryPolicy`
+    and stores the result, then runs the Graphs 4-11
+    :func:`sequence_pass` when ``job.sequences`` asks for it.  Never
+    raises for pipeline failures: they come back classified (and
+    deterministic ones are negative-cached).  The caller owns *cache*,
+    its ``cache_stats`` and the ``run:`` span.
+    """
+    compiled = _compile_step(job, cache)
+    if not compiled.ok:
+        return compiled
+    executable, analysis = compiled.executable, compiled.analysis
+    tm = _telemetry.get()
+
+    # -- consult the run cache -----------------------------------------------
+    rkey = entry = None
+    if cache is not None:
+        rkey = _job_run_key(job, cache.version)
+        if job.lease_wait_s > 0:
+            with _tracing.span("cache.lease_wait", "cache",
+                               benchmark=job.benchmark, dataset=job.dataset):
+                entry = cache.get_or_wait(rkey, "run",
+                                          timeout_s=job.lease_wait_s)
+        else:
+            entry = cache.get(rkey, "run")
+    if entry is not None:
+        if not entry.get("ok"):
+            return ShardResult(
+                benchmark=job.benchmark, dataset=job.dataset,
+                status=classify_failure(entry["error"]),
+                error=entry["error"], retried=entry.get("retried", False))
+        profile, output = entry["profile"], entry["output"]
+        instr_count = entry["instr_count"]
+        retried = entry.get("retried", False)
+    else:
+        # -- simulate, retrying transient failures, and store ---------------
+        policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
+        attempt = 1
+        while True:
+            profile = EdgeProfile()
+            try:
+                # construction can fault too (e.g. the data image exceeds
+                # an injected memory budget), so it sits inside the try
+                with _tracing.span("worker.simulate", "worker",
+                                   benchmark=job.benchmark,
+                                   dataset=job.dataset, attempt=attempt), \
+                        tm.span("simulate", category="harness",
+                                benchmark=job.benchmark, dataset=job.dataset):
+                    status = Machine(
+                        executable, inputs=list(job.inputs),
+                        observers=[profile],
+                        max_instructions=(job.fuel_budget
+                                          * policy.fuel_scale(attempt)),
+                        wall_clock_deadline=job.wall_clock_deadline,
+                        max_memory_bytes=job.max_memory_bytes,
+                        pc_sample_interval=job.pc_sample_interval,
+                        engine=job.engine).run()
+                break
+            except ReproError as exc:
+                exc.with_context(benchmark=job.benchmark, dataset=job.dataset)
+                if not policy.should_retry(exc, attempt):
+                    failure = _failure(job, exc, retried=attempt > 1)
+                    if rkey is not None and _cacheable_failure(exc):
+                        cache.put(rkey, "run", {"ok": False, "error": exc,
+                                                "retried": attempt > 1})
+                    return failure
+                attempt += 1
+                tm.counter("harness.retries").inc()
+                _flight.record("shard.retry", benchmark=job.benchmark,
+                               dataset=job.dataset, attempt=attempt,
+                               error=exc.code)
+        output, instr_count = status.output, status.instr_count
+        retried = attempt > 1
+        if rkey is not None:
+            cache.put(rkey, "run", {
+                "ok": True, "profile": profile, "output": output,
+                "instr_count": instr_count, "retried": retried})
+
+    analyzers = None
+    if job.sequences:
+        # a failed pass is dropped: the caller re-runs it, so it raises
+        # or renders FAILED exactly as a serial pass does
+        with contextlib.suppress(ReproError):
+            analyzers = sequence_pass(job, executable, analysis, profile,
+                                      cache)
+    shipped = job.preseeded is not None
+    return ShardResult(
+        benchmark=job.benchmark, dataset=job.dataset, status=RunStatus.OK,
+        executable=None if shipped else executable,
+        analysis=None if shipped else analysis,
+        profile=profile, output=output, instr_count=instr_count,
+        retried=retried, sequences=analyzers)
+
+
+def run_shard(job: ShardJob, compile_only: bool = False) -> ShardResult:
+    """Pool and service worker entry: :func:`execute` one shard (or, with
+    *compile_only*, just its compile step) inside a private telemetry
+    sink, under the job's distributed trace, over a cache built from
+    ``job.cache_dir``; the result carries the cache's traffic and the
+    sink's snapshot."""
     if os.environ.get(CHAOS_WORKER_CRASH_ENV) == job.benchmark:
         # chaos seam: simulate a hard worker death (no cleanup, no result)
         os._exit(17)
@@ -290,143 +437,20 @@ def run_shard(job: ShardJob) -> ShardResult:
         ctx = _tracing.TraceContext(trace_id=job.trace_id,
                                     span_id=job.trace_parent)
     sink = Telemetry(enabled=job.collect_telemetry)
-    with _telemetry.use(sink):
-        with _tracing.activate(ctx, process=f"worker:{os.getpid()}") as spans:
-            result = _run_shard_inner(job)
+    with _telemetry.use(sink), \
+            _tracing.activate(ctx, process=f"worker:{os.getpid()}") as spans:
+        cache = (ArtifactCache(job.cache_dir)
+                 if job.cache_dir and not job.poisoned else None)
+        with sink.span(f"run:{job.benchmark}/{job.dataset}",
+                       category="harness", benchmark=job.benchmark,
+                       dataset=job.dataset, shard=True):
+            result = (_compile_step if compile_only else execute)(job, cache)
+    if cache is not None:
+        result.cache_stats = cache.stats()
     if job.collect_telemetry:
         result.telemetry = sink.snapshot()
     result.trace = spans
     return result
-
-
-def _failure(job: ShardJob, error: ReproError,
-             cache: ArtifactCache | None, rkey: str | None = None,
-             retried: bool = False) -> ShardResult:
-    status = classify_failure(error)
-    # every worker-side failure ships the worker's black box (no-op if a
-    # deeper layer — e.g. the simulator's crash snapshot — already did)
-    error.attach_flight(_flight.dump())
-    if (cache is not None and rkey is not None
-            and _cacheable_failure(error)):
-        cache.put(rkey, "run", {"ok": False, "error": error,
-                                "retried": retried})
-    return ShardResult(
-        benchmark=job.benchmark, dataset=job.dataset, status=status,
-        error=error, retried=retried,
-        cache_stats=cache.stats() if cache is not None else {})
-
-
-def _simulate(job: ShardJob, executable: Executable,
-              budget: int, tm) -> tuple[EdgeProfile, object]:
-    profile = EdgeProfile()
-    with tm.span("simulate", category="harness", benchmark=job.benchmark,
-                 dataset=job.dataset):
-        machine = Machine(
-            executable, inputs=list(job.inputs), observers=[profile],
-            max_instructions=budget,
-            wall_clock_deadline=job.wall_clock_deadline,
-            max_memory_bytes=job.max_memory_bytes,
-            pc_sample_interval=job.pc_sample_interval,
-            engine=job.engine)
-        status = machine.run()
-    return profile, status
-
-
-def _run_shard_inner(job: ShardJob) -> ShardResult:
-    tm = _telemetry.get()
-    cache = (ArtifactCache(job.cache_dir)
-             if job.cache_dir and not job.poisoned else None)
-    with tm.span(f"run:{job.benchmark}/{job.dataset}", category="harness",
-                 benchmark=job.benchmark, dataset=job.dataset, shard=True):
-        # -- compile (or adopt the pre-seeded / sabotaged artifact) ----------
-        try:
-            with _tracing.span("worker.compile", "worker",
-                               benchmark=job.benchmark):
-                if job.preseeded is not None:
-                    executable, analysis = job.preseeded
-                else:
-                    executable, analysis = compile_artifact(
-                        get(job.benchmark), optimize=job.optimize,
-                        cache=cache)
-        except ReproError as exc:
-            return _failure(job, exc, cache)
-        except Exception as exc:  # unknown benchmark, etc.
-            wrapped = ReproError(
-                f"shard setup failed: {type(exc).__name__}: {exc}",
-                benchmark=job.benchmark, dataset=job.dataset,
-                phase="compile")
-            return _failure(job, wrapped, cache)
-
-        # -- consult the run cache -------------------------------------------
-        rkey = entry = None
-        if cache is not None:
-            rkey = _job_run_key(job, cache)
-            if job.lease_wait_s > 0:
-                with _tracing.span("cache.lease_wait", "cache",
-                                   benchmark=job.benchmark,
-                                   dataset=job.dataset):
-                    entry = cache.get_or_wait(rkey, "run",
-                                              timeout_s=job.lease_wait_s)
-            else:
-                entry = cache.get(rkey, "run")
-        if entry is not None:
-            if not entry.get("ok"):
-                return ShardResult(
-                    benchmark=job.benchmark, dataset=job.dataset,
-                    status=classify_failure(entry["error"]),
-                    error=entry["error"],
-                    retried=entry.get("retried", False),
-                    cache_stats=cache.stats())
-            profile, output = entry["profile"], entry["output"]
-            instr_count = entry["instr_count"]
-            retried = entry.get("retried", False)
-        else:
-            # -- execute (same RetryPolicy semantics as the serial runner) ---
-            policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
-            attempt = 1
-            while True:
-                try:
-                    with _tracing.span("worker.simulate", "worker",
-                                       benchmark=job.benchmark,
-                                       dataset=job.dataset, attempt=attempt):
-                        profile, status = _simulate(
-                            job, executable,
-                            job.fuel_budget * policy.fuel_scale(attempt), tm)
-                    break
-                except ReproError as exc:
-                    exc.with_context(benchmark=job.benchmark,
-                                     dataset=job.dataset)
-                    if not policy.should_retry(exc, attempt):
-                        return _failure(job, exc, cache, rkey,
-                                        retried=attempt > 1)
-                    attempt += 1
-                    tm.counter("harness.retries").inc()
-                    _flight.record("shard.retry", benchmark=job.benchmark,
-                                   dataset=job.dataset, attempt=attempt,
-                                   error=exc.code)
-            output, instr_count = status.output, status.instr_count
-            retried = attempt > 1
-            if cache is not None:
-                cache.put(rkey, "run", {
-                    "ok": True, "profile": profile, "output": output,
-                    "instr_count": instr_count, "retried": retried})
-
-        analyzers = None
-        if job.sequences:
-            # a failed pass is dropped: the parent re-runs it, so it
-            # raises or renders FAILED exactly as a serial pass does
-            with contextlib.suppress(ReproError):
-                analyzers = sequence_pass(job, executable, analysis,
-                                          profile, cache)
-        shipped = job.preseeded is not None
-        return ShardResult(
-            benchmark=job.benchmark, dataset=job.dataset,
-            status=RunStatus.OK,
-            executable=None if shipped else executable,
-            analysis=None if shipped else analysis,
-            profile=profile, output=output, instr_count=instr_count,
-            retried=retried, sequences=analyzers,
-            cache_stats=cache.stats() if cache is not None else {})
 
 
 # --------------------------------------------------------------------------

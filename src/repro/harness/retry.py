@@ -1,15 +1,14 @@
 """Unified retry / backoff policy for every execution engine.
 
-Historically the serial :class:`~repro.harness.runner.SuiteRunner` and the
-parallel shard worker (:func:`repro.harness.parallel.run_shard`) each
-carried their own copy of the transient-failure classification ("a fuel
-limit is worth one retry at a raised budget; a wall-clock timeout is
-not").  Two copies of a classification rule is one copy too many: the
-moment they drift, serial and parallel runs of the same suite classify
-the same failure differently and the byte-identity guarantee silently
-dies.  :class:`RetryPolicy` is now the single owner of that rule; the
-serial runner, the shard worker, and the prediction service
-(:mod:`repro.service`) all consult the same instance semantics.
+:class:`RetryPolicy` is the single owner of the transient-failure
+classification ("a fuel limit is worth one retry at a raised budget; a
+wall-clock timeout is not").  Fuel retries happen in one place, the
+execution core :func:`repro.harness.parallel.execute`, which the serial
+:class:`~repro.harness.runner.SuiteRunner`, the pool's shard worker, and
+the prediction service (:mod:`repro.service`) all run, so serial and
+parallel runs of the same suite cannot classify the same failure
+differently.  The service's job engine consults a second instance for
+worker-crash redispatch.
 
 Two orthogonal retry axes are covered:
 

@@ -7,6 +7,14 @@ static :class:`~repro.core.classify.ProgramAnalysis`, and the dynamic
 compilations (per benchmark) and runs (per benchmark x dataset) so that
 regenerating all seven tables costs one pass over the suite.
 
+Every run goes through one execution core,
+:func:`repro.harness.parallel.execute`: :meth:`SuiteRunner._execute`
+calls it in-process with the runner's compiled artifact and cache, and a
+:meth:`SuiteRunner.prefetch` batch maps it over a process pool.  Either
+way the :class:`~repro.harness.parallel.ShardResult` reaches
+:meth:`SuiteRunner._adopt`, the one place a result becomes a memo entry or
+a negative-cached failure.
+
 Fault isolation: in the default ``strict=True`` mode any failure propagates
 immediately (the historical behavior).  With ``strict=False`` the runner
 degrades gracefully instead: each (benchmark, dataset) failure is captured
@@ -18,19 +26,18 @@ instruction-limit, and rendered by the table/graph generators as explicit
 :class:`EdgeProfile` and :class:`BenchmarkRun` for an attempt are built
 fresh per execution and only published to the memo cache on success.
 
-Scale-out (this layer's two new seams — see docs/performance.md):
+Scale-out (see docs/performance.md):
 
 ``parallelism=N``
     :meth:`SuiteRunner.prefetch` executes a batch of missing (benchmark,
     dataset) shards, optionally with their Graphs 4-11 sequence passes,
-    through :class:`~repro.harness.parallel.ParallelEngine`, a process
-    pool whose workers replay exactly the serial semantics and whose
-    results are merged back in submission order — table/graph output is
-    byte-identical to a serial run.  ``python -m repro.harness`` runs
-    one batch for the whole report; :meth:`SuiteRunner.all_outcomes`
-    prefetches the ``ref`` runs of callers that skip it.  Worker
-    telemetry snapshots are folded into the parent sink under per-shard
-    ``parallel:shard`` spans.
+    through :class:`~repro.harness.parallel.ParallelEngine`, whose
+    workers run the same core and whose results are adopted in
+    submission order — table/graph output is byte-identical to a serial
+    run.  ``python -m repro.harness`` runs one batch for the whole
+    report; :meth:`SuiteRunner.all_outcomes` prefetches the ``ref`` runs
+    of callers that skip it.  Worker telemetry snapshots are folded into
+    the parent sink under per-shard ``parallel:shard`` spans.
 
 ``cache_dir=PATH``
     Every compile, run, and Graphs 4-11 sequence pass additionally
@@ -51,12 +58,12 @@ from time import perf_counter
 
 from repro import telemetry as _telemetry
 from repro.bench.suite import Benchmark, Dataset, get, suite
-from repro.core.classify import ProgramAnalysis, classify_branches
+from repro.core.classify import ProgramAnalysis
 from repro.errors import ReproError
 from repro.harness.cache import ArtifactCache
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, SequenceAnalyzer
+from repro.sim import SequenceAnalyzer
 from repro.sim.profile import EdgeProfile
 
 __all__ = ["BenchmarkRun", "SuiteRunner"]
@@ -251,14 +258,6 @@ class SuiteRunner:
             return None
         return self.cache
 
-    def _run_key_for(self, name: str, dataset: str) -> str | None:
-        """Persistent run-cache key, or ``None`` when it cannot be formed
-        (unknown benchmark/dataset — the execution path raises the typed
-        error instead)."""
-        from repro.harness.parallel import _job_run_key
-        job = self._shard_job(name, dataset)
-        return None if job is None else _job_run_key(job, self.cache)
-
     # -- compilation -----------------------------------------------------------
 
     def compiled(self, name: str) -> tuple[Executable, ProgramAnalysis]:
@@ -287,87 +286,60 @@ class SuiteRunner:
 
     # -- execution -------------------------------------------------------------
 
-    def _execute(self, name: str, dataset: str,
-                 fuel_scale: int = 1) -> BenchmarkRun:
-        """One fresh profiled execution; never caches partial state."""
+    def _execute(self, name: str, dataset: str):
+        """One execution of (*name*, *dataset*) through
+        :func:`~repro.harness.parallel.execute`, in-process, with this
+        runner's compiled artifact and cache; returns its
+        :class:`~repro.harness.parallel.ShardResult` (a compile failure or
+        an unknown name comes back classified too)."""
+        from repro.harness.parallel import ShardResult, execute
+        from repro.harness.resilience import classify_failure
+        job = self._shard_job(name, dataset)
         try:
-            benchmark = get(name)
-            ds = benchmark.dataset(dataset)
-        except (KeyError, ValueError) as exc:
-            raise ReproError(f"unknown benchmark or dataset: {exc}",
-                             benchmark=name, dataset=dataset,
-                             phase="setup") from exc
-        executable, analysis = self.compiled(name)
-        budget, keep, memory = self._effective_limits(name, dataset)
-        inputs = list(ds.inputs)
-        if keep is not None:
-            inputs = inputs[:keep]
-        profile = EdgeProfile()
-        try:
-            # construction can fault too (e.g. the data image exceeds an
-            # injected memory budget), so it sits inside the try
-            with _telemetry.get().span("simulate", category="harness",
-                                       benchmark=name, dataset=dataset):
-                machine = Machine(
-                    executable, inputs=inputs, observers=[profile],
-                    max_instructions=budget * fuel_scale,
-                    wall_clock_deadline=self.wall_clock_deadline,
-                    max_memory_bytes=memory,
-                    pc_sample_interval=self.pc_sample_interval,
-                    engine=self.engine)
-                status = machine.run()
+            if job is None:
+                raise ReproError(
+                    f"unknown benchmark or dataset: {name!r}/{dataset!r}",
+                    benchmark=name, dataset=dataset, phase="setup")
+            job.preseeded = self.compiled(name)
         except ReproError as exc:
-            raise exc.with_context(benchmark=name, dataset=dataset)
-        return BenchmarkRun(
-            benchmark=benchmark, dataset=ds, executable=executable,
-            analysis=analysis, profile=profile, output=status.output,
-            instr_count=status.instr_count)
+            return ShardResult(benchmark=name, dataset=dataset,
+                               status=classify_failure(exc), error=exc)
+        return execute(job, self._disk_cache_for(name))
 
-    # -- persistent-cache plumbing ---------------------------------------------
-
-    def _store_failure_entry(self, cache: ArtifactCache | None,
-                             rkey: str | None, error: ReproError,
-                             retried: bool) -> None:
-        from repro.harness.parallel import _cacheable_failure
-        if cache is not None and rkey is not None \
-                and _cacheable_failure(error):
-            cache.put(rkey, "run", {"ok": False, "error": error,
-                                    "retried": retried})
-
-    def _outcome_from_entry(self, name: str, dataset: str,
-                            entry: dict) -> "RunOutcome | None":
-        """Rebuild a RunOutcome from a persistent run entry.
-
-        Returns ``None`` when the entry cannot be applied (e.g. the
-        matching compile artifact is gone) — the caller falls back to a
-        fresh execution.
-        """
-        from repro.harness.resilience import (
-            RunOutcome, RunStatus, classify_failure,
-        )
-        if not entry.get("ok"):
-            error = entry["error"]
-            if self.strict:
-                raise error
-            return self._failure_outcome(
-                name, dataset, classify_failure(error), error,
-                retried=entry.get("retried", False))
-        try:
-            executable, analysis = self.compiled(name)
-        except ReproError:
-            return None  # inconsistent cache: recompute from scratch
-        try:
+    def _adopt(self, result) -> "RunOutcome":
+        """Memoize one :func:`~repro.harness.parallel.execute` result, run
+        here or in a pool worker: a run (with any sequence analyzers), or
+        a negative-cached failure.  A strict runner records no degraded
+        failure: :meth:`outcome` raises it instead."""
+        from repro.harness.resilience import RunOutcome, RunStatus
+        tm = _telemetry.get()
+        name, dataset = result.benchmark, result.dataset
+        if result.ok:
+            executable, analysis = self._compiled.setdefault(
+                name, (result.executable, result.analysis))
             benchmark = get(name)
-            ds = benchmark.dataset(dataset)
-        except (KeyError, ValueError):
-            return None
-        run = BenchmarkRun(
-            benchmark=benchmark, dataset=ds, executable=executable,
-            analysis=analysis, profile=entry["profile"],
-            output=entry["output"], instr_count=entry["instr_count"])
-        self._runs[(name, dataset)] = run
-        return RunOutcome(name, dataset, RunStatus.OK, run=run,
-                          retried=entry.get("retried", False))
+            run = BenchmarkRun(
+                benchmark=benchmark, dataset=benchmark.dataset(dataset),
+                executable=executable, analysis=analysis,
+                profile=result.profile, output=result.output,
+                instr_count=result.instr_count)
+            self._runs[(name, dataset)] = run
+            if result.sequences is not None:
+                self._sequences[(name, dataset)] = result.sequences
+            return RunOutcome(name, dataset, RunStatus.OK, run=run,
+                              retried=result.retried)
+        if (result.status is RunStatus.COMPILE_FAILED
+                and name not in self._compile_failures):
+            self._compile_failures[name] = result.error
+            tm.counter("harness.compile_failures").inc()
+        if not self.strict:
+            tm.counter("harness.degraded_failures").inc()
+            tm.labeled_counter("harness.failures_by_status").inc(
+                result.status.value)
+        outcome = RunOutcome(name, dataset, result.status,
+                             error=result.error, retried=result.retried)
+        self._run_failures[self._failure_key(name, dataset)] = outcome
+        return outcome
 
     # -- outcomes --------------------------------------------------------------
 
@@ -378,12 +350,9 @@ class SuiteRunner:
         In strict mode failures propagate; in degraded mode they come back
         as classified, negative-cached failure outcomes.
         """
-        from repro.harness.resilience import (
-            RunOutcome, RunStatus, classify_failure,
-        )
+        from repro.harness.resilience import RunOutcome, RunStatus
         tm = _telemetry.get()
-        key = (name, dataset)
-        run = self._runs.get(key)
+        run = self._runs.get((name, dataset))
         if run is not None:
             tm.counter("harness.run_cache.hit").inc()
             return RunOutcome(name, dataset, RunStatus.OK, run=run)
@@ -400,58 +369,11 @@ class SuiteRunner:
                 raise cached.error
             return cached
         tm.counter("harness.run_cache.miss").inc()
-        retried = False
-        cache = self._disk_cache_for(name)
-        rkey = self._run_key_for(name, dataset) if cache is not None else None
         with tm.span(f"run:{name}/{dataset}", category="harness",
                      benchmark=name, dataset=dataset):
-            if rkey is not None:
-                entry = cache.get(rkey, "run")
-                if entry is not None:
-                    outcome = self._outcome_from_entry(name, dataset, entry)
-                    if outcome is not None:
-                        return outcome
-            policy = self.retry_policy
-            attempt = 1
-            while True:
-                try:
-                    run = self._execute(
-                        name, dataset, fuel_scale=policy.fuel_scale(attempt))
-                    break
-                except ReproError as exc:
-                    if self.strict:
-                        self._store_failure_entry(cache, rkey, exc,
-                                                  retried=False)
-                        raise
-                    if not policy.should_retry(exc, attempt):
-                        outcome = self._failure_outcome(
-                            name, dataset, classify_failure(exc), exc,
-                            retried=attempt > 1)
-                        self._store_failure_entry(cache, rkey, exc,
-                                                  retried=attempt > 1)
-                        return outcome
-                    attempt += 1
-                    retried = True
-                    tm.counter("harness.retries").inc()
-        self._runs[key] = run
-        if rkey is not None:
-            cache.put(rkey, "run", {
-                "ok": True, "profile": run.profile, "output": run.output,
-                "instr_count": run.instr_count, "retried": retried})
-        return RunOutcome(name, dataset, RunStatus.OK, run=run,
-                          retried=retried)
-
-    def _failure_outcome(self, name: str, dataset: str, status,
-                         error: ReproError,
-                         retried: bool = False) -> "RunOutcome":
-        """Build, negative-cache, and count one degraded-mode failure."""
-        from repro.harness.resilience import RunOutcome
-        tm = _telemetry.get()
-        tm.counter("harness.degraded_failures").inc()
-        tm.labeled_counter("harness.failures_by_status").inc(status.value)
-        outcome = RunOutcome(name, dataset, status, error=error,
-                             retried=retried)
-        self._run_failures[self._failure_key(name, dataset)] = outcome
+            outcome = self._adopt(self._execute(name, dataset))
+            if self.strict:
+                outcome.require()  # raises a failure
         return outcome
 
     def run(self, name: str, dataset: str = "ref") -> BenchmarkRun:
@@ -511,52 +433,6 @@ class SuiteRunner:
             preseeded=self._compiled.get(name),
             poisoned=poisoned)
 
-    def _merge_shard(self, result, tm, offset_us: int) -> None:
-        from repro.harness.resilience import RunStatus
-        if self.cache is not None and result.cache_stats:
-            # fold worker-side cache traffic into the parent's counters so
-            # stats()/CLI footers reflect the whole batch, not just the
-            # parent process
-            for field_name in ("hits", "misses", "corrupt", "stores",
-                               "store_skipped", "tmp_swept", "leases_swept"):
-                current = getattr(self.cache, field_name)
-                setattr(self.cache, field_name,
-                        current + result.cache_stats.get(field_name, 0))
-        if result.telemetry is not None and tm.enabled:
-            with tm.span("parallel:shard", category="harness",
-                         benchmark=result.benchmark, dataset=result.dataset,
-                         status=result.status.value):
-                tm.merge_snapshot(result.telemetry,
-                                  start_offset_us=offset_us)
-        if result.ok:
-            pair = self._compiled.get(result.benchmark)
-            if pair is None and result.executable is not None:
-                pair = (result.executable, result.analysis)
-                self._compiled[result.benchmark] = pair
-            if pair is None:  # defensive: malformed OK result
-                return
-            executable, analysis = pair
-            benchmark = get(result.benchmark)
-            run = BenchmarkRun(
-                benchmark=benchmark,
-                dataset=benchmark.dataset(result.dataset),
-                executable=executable, analysis=analysis,
-                profile=result.profile, output=result.output,
-                instr_count=result.instr_count)
-            self._runs[(result.benchmark, result.dataset)] = run
-            if result.sequences is not None:
-                self._sequences[(result.benchmark, result.dataset)] = \
-                    result.sequences
-        elif result.status is RunStatus.COMPILE_FAILED:
-            # seed the compile negative cache; the serial replay loop
-            # classifies and counts it exactly like a cold compile failure
-            self._compile_failures.setdefault(result.benchmark, result.error)
-            tm.counter("harness.compile_failures").inc()
-        else:
-            self._failure_outcome(result.benchmark, result.dataset,
-                                  result.status, result.error,
-                                  retried=result.retried)
-
     def prefetch(self, pairs: list[tuple[str, str]],
                  with_sequences: Collection[tuple[str, str]] = ()) -> int:
         """Execute every missing (benchmark, dataset) shard of *pairs* in
@@ -585,10 +461,25 @@ class SuiteRunner:
         tm = _telemetry.get()
         offset_us = (int((perf_counter() - tm.epoch) * 1e6)
                      if tm.enabled else 0)
-        engine = ParallelEngine(self.parallelism)
-        results = engine.execute(jobs)
+        results = ParallelEngine(self.parallelism).execute(jobs)
         for result in results:
-            self._merge_shard(result, tm, offset_us)
+            if self.cache is not None:
+                # fold worker-side cache traffic into the parent's
+                # counters so stats()/CLI footers reflect the whole batch
+                for field_name in ("hits", "misses", "corrupt", "stores",
+                                   "store_skipped", "tmp_swept",
+                                   "leases_swept"):
+                    setattr(self.cache, field_name,
+                            getattr(self.cache, field_name)
+                            + result.cache_stats.get(field_name, 0))
+            if result.telemetry is not None and tm.enabled:
+                with tm.span("parallel:shard", category="harness",
+                             benchmark=result.benchmark,
+                             dataset=result.dataset,
+                             status=result.status.value):
+                    tm.merge_snapshot(result.telemetry,
+                                      start_offset_us=offset_us)
+            self._adopt(result)
         return len(results)
 
     def all_outcomes(self, dataset: str = "ref") -> list["RunOutcome"]:

@@ -3,10 +3,10 @@
 The pipeline as a long-running, multi-tenant daemon: an asyncio job
 engine that accepts compile / simulate / predict jobs over HTTP (or by
 direct :meth:`~repro.service.engine.JobEngine.submit` calls), dedupes
-in-flight work by artifact-cache key, and executes on a supervised
-worker pool — health checks, automatic respawn, poison-job quarantine,
-and a circuit breaker that sheds load as explicit typed degraded
-responses instead of hanging.
+in-flight work by job kind and artifact-cache key, and executes through
+the harness's one execution core on a supervised worker pool — health
+checks, automatic respawn, poison-job quarantine, and a circuit breaker
+that sheds load as explicit typed degraded responses instead of hanging.
 
 The invariant (enforced by the chaos drill in CI and
 ``tests/test_service_chaos_drill.py``): **every accepted job terminates

@@ -38,14 +38,13 @@ import sys
 import tempfile
 
 from repro import telemetry as _telemetry
-from repro.bench.suite import get
 from repro.harness.cache import CHAOS_LOCK_HOLD_ENV
 from repro.harness.locking import CHAOS_LEASE_TTL_ENV
 from repro.harness.parallel import (
-    CHAOS_SLOW_WORKER_ENV, CHAOS_WORKER_CRASH_ENV, ShardJob,
+    CHAOS_SLOW_WORKER_ENV, CHAOS_WORKER_CRASH_ENV,
 )
 from repro.service.engine import (
-    JobEngine, ServiceConfig, ServiceOrder, build_payload, execute_order,
+    JobEngine, ServiceConfig, build_payload, execute_order,
 )
 from repro.service.http import ServiceHTTP
 from repro.service.jobs import JobKind, JobRequest
@@ -125,22 +124,13 @@ async def _serve(args) -> int:
 
 # -- smoke (chaos drill) ------------------------------------------------------
 
-def _serial_reference(request: JobRequest, config: ServiceConfig,
+def _serial_reference(engine: JobEngine, request: JobRequest,
                       cache_dir: str) -> dict | None:
-    """Chaos-free in-process execution of *request* (the ground truth)."""
-    inputs: tuple = ()
-    if request.kind is not JobKind.COMPILE:
-        inputs = tuple(get(request.benchmark)
-                       .dataset(request.dataset).inputs)
-    shard = ShardJob(
-        benchmark=request.benchmark, dataset=request.dataset,
-        inputs=inputs,
-        fuel_budget=request.fuel_budget or config.fuel_budget,
-        retry_fuel_factor=config.retry_fuel_factor,
-        optimize=request.optimize, engine=config.engine,
-        cache_dir=cache_dir)
-    result = execute_order(
-        ServiceOrder(kind=request.kind.value, shard=shard))
+    """Chaos-free in-process execution of *request* (the ground truth):
+    the engine's own order, over a store of its own."""
+    order = engine._order_for(request)
+    order.shard.cache_dir = cache_dir
+    result = execute_order(order)
     return build_payload(request, result) if result.ok else None
 
 
@@ -275,7 +265,7 @@ async def _smoke(args) -> int:
         os.environ.pop(env, None)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-ref-") as ref_dir:
         for request, payload in done:
-            reference = _serial_reference(request, config, ref_dir)
+            reference = _serial_reference(engine, request, ref_dir)
             if reference is None:
                 failures.append(
                     f"{request.kind}/{request.benchmark}: serial reference "

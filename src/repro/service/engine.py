@@ -17,9 +17,10 @@ the chaos drill enforces.  The moving parts:
   pulls records off an :class:`asyncio.Queue` whose size bound is the
   explicit backpressure limit (overflow is a typed rejection, not an
   unbounded backlog);
-* **in-flight dedupe** — a submission whose cache key matches a job
-  already queued or running becomes a *follower* of that primary: no
-  second execution, no second store write, one shared terminal state;
+* **in-flight dedupe** — a submission whose key (job kind + content
+  key) matches a job already queued or running becomes a *follower* of
+  that primary: no second execution, no second store write, one shared
+  terminal state;
 * **poison-job quarantine** — a key that has killed
   ``quarantine_threshold`` workers is refused further workers; new and
   retried submissions for it terminate ``quarantined``;
@@ -32,20 +33,23 @@ the chaos drill enforces.  The moving parts:
   spine the batch runners use, configured for worker-crash retries with
   exponential backoff.
 
-Execution itself reuses the battle-tested shard worker
-(:func:`repro.harness.parallel.run_shard`) inside supervised slots, so
-the service inherits the artifact cache (now lease-guarded), negative
-caching, transient-fuel retries, and the chaos seams wholesale.
+Execution is the harness's one execution core: every order runs
+:func:`repro.harness.parallel.run_shard` (compile orders stop after its
+compile step) inside a supervised slot, so the service shares the serial
+runner's artifact cache (here lease-guarded), negative caching,
+transient-fuel retries, run keys, and chaos seams.  A job's dedupe and
+quarantine key is its kind plus that core's content key (the compile key
+for compile jobs, the run key otherwise), so a ``predict`` job never
+follows a ``simulate`` job over the same run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 from dataclasses import dataclass
-from time import perf_counter, sleep
+from time import perf_counter
 
 from repro import telemetry as _telemetry
 from repro.telemetry import flight as _flight
@@ -58,10 +62,8 @@ from repro.errors import (
 )
 from repro.harness.cache import ArtifactCache
 from repro.harness.parallel import (
-    CHAOS_WORKER_CRASH_ENV, ShardJob, ShardResult, _chaos_slow_delay,
-    compile_artifact, run_shard,
+    ShardJob, ShardResult, _job_compile_key, _job_run_key, run_shard,
 )
-from repro.harness.resilience import RunStatus, classify_failure
 from repro.harness.retry import RetryPolicy
 from repro.core.evaluation import evaluate_predictor
 from repro.core.predictors import (
@@ -114,41 +116,11 @@ class ServiceOrder:
 
 
 def execute_order(order: ServiceOrder) -> ShardResult:
-    """Worker entry point for service jobs (module-level so it pickles).
-
-    Simulate/predict orders reuse the shard worker verbatim; compile
-    orders run just the compile+classify phase (with the same chaos
-    seams, so drills exercise every job kind).
-    """
-    if order.kind != JobKind.COMPILE.value:
-        return run_shard(order.shard)
-    job = order.shard
-    if os.environ.get(CHAOS_WORKER_CRASH_ENV) == job.benchmark:
-        os._exit(17)
-    delay = _chaos_slow_delay(job.benchmark)
-    if delay > 0:
-        sleep(delay)
-    cache = ArtifactCache(job.cache_dir) if job.cache_dir else None
-    try:
-        executable, analysis = compile_artifact(
-            get(job.benchmark), optimize=job.optimize, cache=cache)
-    except ReproError as exc:
-        return ShardResult(
-            benchmark=job.benchmark, dataset=job.dataset,
-            status=classify_failure(exc), error=exc,
-            cache_stats=cache.stats() if cache is not None else {})
-    except Exception as exc:
-        wrapped = ReproError(
-            f"compile order failed: {type(exc).__name__}: {exc}",
-            benchmark=job.benchmark, phase="compile")
-        return ShardResult(
-            benchmark=job.benchmark, dataset=job.dataset,
-            status=classify_failure(wrapped), error=wrapped,
-            cache_stats=cache.stats() if cache is not None else {})
-    return ShardResult(
-        benchmark=job.benchmark, dataset=job.dataset, status=RunStatus.OK,
-        executable=executable, analysis=analysis,
-        cache_stats=cache.stats() if cache is not None else {})
+    """Worker entry point for service jobs (module-level so it pickles):
+    the pool's shard worker, which stops after the compile step for
+    compile orders."""
+    return run_shard(order.shard,
+                     compile_only=order.kind == JobKind.COMPILE.value)
 
 
 def _rates(result) -> dict:
@@ -273,9 +245,7 @@ class JobEngine:
                        job=jid, job_kind=request.kind.value,
                        benchmark=request.benchmark)
         try:
-            key = request.cache_key(request.fuel_budget or cfg.fuel_budget,
-                                    cfg.retry_fuel_factor,
-                                    engine=cfg.engine)
+            key = self._key_for(self._order_for(request))
         except ReproError as exc:
             record = JobRecord(id=jid, request=request, key="",
                                trace=trace)
@@ -404,11 +374,18 @@ class JobEngine:
     # -- execution -------------------------------------------------------------
 
     def _order_for(self, request: JobRequest) -> ServiceOrder:
+        """The worker order for *request*; raises the typed lookup error
+        for an unknown benchmark (or dataset, for run jobs)."""
         cfg = self.config
-        inputs: tuple = ()
-        if request.kind is not JobKind.COMPILE:
-            inputs = tuple(get(request.benchmark)
-                           .dataset(request.dataset).inputs)
+        try:
+            benchmark = get(request.benchmark)
+            inputs = (() if request.kind is JobKind.COMPILE
+                      else tuple(benchmark.dataset(request.dataset).inputs))
+        except KeyError as exc:
+            raise ReproError(f"unknown benchmark or dataset: {exc}",
+                             benchmark=request.benchmark,
+                             dataset=request.dataset,
+                             phase="service") from exc
         shard = ShardJob(
             benchmark=request.benchmark, dataset=request.dataset,
             inputs=inputs,
@@ -421,6 +398,14 @@ class JobEngine:
             lease_wait_s=cfg.lease_wait_s,
             collect_telemetry=True)
         return ServiceOrder(kind=request.kind.value, shard=shard)
+
+    @staticmethod
+    def _key_for(order: ServiceOrder) -> str:
+        """In-flight dedupe and quarantine key: the job kind plus the
+        content key its result is stored under."""
+        content = (_job_compile_key if order.kind == JobKind.COMPILE.value
+                   else _job_run_key)(order.shard)
+        return f"{order.kind}:{content}"
 
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None

@@ -10,10 +10,11 @@ terminal state: ``done`` with a payload, or one of the degraded states
 :class:`~repro.errors.ReproError` dict.  A job can be slow; it can
 never be lost or stuck.
 
-Jobs are deduplicated by :meth:`JobRequest.key` — the same
-content-address recipe the artifact cache uses (source text, pass spec,
-effective limits, version), so two tenants asking for the same work
-share one execution *and* one cache entry.
+Jobs are deduplicated by their kind plus the content key the artifact
+cache stores their result under (source text, pass spec, effective
+limits, version — see :meth:`repro.service.engine.JobEngine._key_for`),
+so two tenants asking for the same work share one execution *and* one
+cache entry.
 """
 
 from __future__ import annotations
@@ -101,37 +102,6 @@ class JobRequest:
                    optimize=bool(data.get("optimize", True)),
                    fuel_budget=fuel)
 
-    def cache_key(self, fuel_budget: int, retry_fuel_factor: int,
-                  max_memory_bytes: int | None = None,
-                  engine: str | None = None) -> str:
-        """The artifact-cache content key this job resolves to — also the
-        engine's in-flight dedupe key, so concurrent identical requests
-        collapse onto one execution and one store entry.
-
-        Raises the typed lookup error for unknown benchmarks/datasets.
-        """
-        from repro.bench.suite import get
-        from repro.harness.cache import compile_key, run_key
-        try:
-            bench = get(self.benchmark)
-        except KeyError as exc:
-            raise ReproError(f"unknown benchmark: {exc}",
-                             benchmark=self.benchmark,
-                             phase="service") from exc
-        ckey = compile_key(self.benchmark, bench.source(), self.optimize)
-        if self.kind is JobKind.COMPILE:
-            return ckey
-        try:
-            ds = bench.dataset(self.dataset)
-        except (KeyError, ValueError) as exc:
-            raise ReproError(f"unknown dataset: {exc}",
-                             benchmark=self.benchmark, dataset=self.dataset,
-                             phase="service") from exc
-        from repro.sim import resolve_engine_name
-        return run_key(ckey, self.dataset, tuple(ds.inputs), fuel_budget,
-                       max_memory_bytes, retry_fuel_factor,
-                       engine=resolve_engine_name(engine))
-
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "benchmark": self.benchmark,
                 "dataset": self.dataset, "optimize": self.optimize,
@@ -144,7 +114,7 @@ class JobRecord:
 
     id: str
     request: JobRequest
-    key: str                           #: dedupe / cache key ("" if unkeyable)
+    key: str                           #: kind + content key ("" if unkeyable)
     state: JobState = JobState.QUEUED
     result: dict[str, Any] | None = None
     error: dict[str, Any] | None = None

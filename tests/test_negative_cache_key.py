@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.errors import SimulationLimitExceeded
 from repro.harness import RunStatus, SuiteRunner
+from repro.telemetry import Telemetry
 
 from conftest import MINI_SUITE
 
@@ -121,3 +123,22 @@ class TestDiskNegativeCache:
         uncapped = SuiteRunner(MINI_SUITE, strict=False,
                                cache_dir=cache_dir)
         assert uncapped.outcome("queens", "ref").ok
+
+    def test_strict_runner_raises_the_disk_failure(self, tmp_path):
+        """A strict runner that finds a failure entry in the persistent
+        cache raises the stored typed error without simulating."""
+        cache_dir = tmp_path / "cache"
+        cold = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+        cold.limit_fuel("queens", 1_000)
+        with pytest.raises(SimulationLimitExceeded) as first:
+            cold.run("queens")
+
+        sink = Telemetry()
+        with telemetry.use(sink):
+            warm = SuiteRunner(MINI_SUITE, cache_dir=cache_dir)
+            warm.limit_fuel("queens", 1_000)
+            with pytest.raises(SimulationLimitExceeded) as second:
+                warm.run("queens")
+        assert second.value.oneline() == first.value.oneline()
+        assert sink.counters().get("sim.runs", 0) == 0
+        assert warm.cache.hits > 0 and warm.cache.misses == 0

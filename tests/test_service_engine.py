@@ -19,7 +19,7 @@ from time import sleep
 from repro.harness.resilience import RunStatus
 from repro.harness.parallel import ShardResult
 from repro.service.breaker import BreakerState, CircuitBreaker
-from repro.service.engine import JobEngine, ServiceConfig
+from repro.service.engine import JobEngine, ServiceConfig, execute_order
 from repro.service.jobs import JobKind, JobRequest, JobState
 from repro.testing.chaos import chaos_env
 
@@ -120,6 +120,26 @@ def test_dedupe_does_not_chain_to_finished_jobs():
         record = await engine.wait(again.id, 30)
         assert record.state is JobState.DONE
     _run(body, ServiceConfig(workers=1, health_interval_s=0), _exec_ok)
+
+
+def test_dedupe_never_merges_job_kinds():
+    """A predict job over the same run as an in-flight simulate job gets
+    its own execution and its own payload."""
+    async def body(engine):
+        simulate = engine.submit(JobRequest(
+            kind=JobKind.SIMULATE, benchmark="queens", dataset="small"))
+        predict = engine.submit(JobRequest(
+            kind=JobKind.PREDICT, benchmark="queens", dataset="small"))
+        assert predict.deduped_into is None
+        records = await asyncio.gather(engine.wait(simulate.id, 60),
+                                       engine.wait(predict.id, 60))
+        assert [r.state for r in records] == [JobState.DONE] * 2
+        assert records[0].result["kind"] == "simulate"
+        assert "prediction" not in records[0].result
+        assert records[1].result["kind"] == "predict"
+        assert "prediction" in records[1].result
+        assert engine.stats()["jobs"]["deduped"] == 0
+    _run(body, ServiceConfig(workers=1, health_interval_s=0), execute_order)
 
 
 # -- crash containment / quarantine -------------------------------------------
