@@ -22,7 +22,6 @@ Hierarchy::
     ├── WorkerError                 # parallel harness (phase=parallel)
     │   ├── WorkerCrashError        # shard process died without a result
     │   └── WorkerResultError       # shard returned an unusable result
-    ├── CacheLockError              # shared-store locking (phase=cache)
     └── ServiceError                # prediction service (phase=service)
         ├── JobRejectedError        # breaker open / queue full: load shed
         ├── JobQuarantinedError     # poison job isolated after crashes
@@ -51,7 +50,6 @@ __all__ = [
     "WorkerError",
     "WorkerCrashError",
     "WorkerResultError",
-    "CacheLockError",
     "ServiceError",
     "JobRejectedError",
     "JobQuarantinedError",
@@ -61,7 +59,7 @@ __all__ = [
 
 #: Pipeline phases a failure can be attributed to.
 PHASES = ("compile", "verify", "assemble", "link", "analyze", "simulate",
-          "parallel", "cache", "service", "report")
+          "parallel", "service", "report")
 
 #: Structured context slots every ReproError carries.
 CONTEXT_FIELDS = ("benchmark", "dataset", "phase", "pc", "instr_count")
@@ -99,7 +97,7 @@ class CrashReport:
     branch_history: list[tuple[int, bool]] = field(default_factory=list)
     output_tail: str = ""                     #: tail of program output at fault
     #: flight-recorder dump at fault time: the last-N structured events
-    #: (state transitions, retries, lease steals...) as plain dicts — the
+    #: (state transitions, retries, redispatches...) as plain dicts — the
     #: process's black box, not just the simulated machine's
     flight: list[dict] = field(default_factory=list)
 
@@ -285,21 +283,6 @@ class WorkerCrashError(WorkerError):
 class WorkerResultError(WorkerError):
     """A shard returned a result the parent could not decode or that
     failed validation (pickling error, schema drift between versions)."""
-
-
-# -- shared-store locking errors ----------------------------------------------
-
-
-class CacheLockError(ReproError):
-    """A single-writer lease on a shared artifact-store key could not be
-    acquired before the deadline.
-
-    Raised only by the *waiting* acquire paths (callers that opted into
-    blocking); opportunistic writers treat contention as "someone else
-    is already producing this content" and skip silently.
-    """
-
-    phase = "cache"
 
 
 # -- prediction-service errors ------------------------------------------------

@@ -227,19 +227,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.deadline is not None and not args.deadline > 0:
         log.error("--deadline must be > 0 seconds (got %s)", args.deadline)
         return 2
-    runner = SuiteRunner(benchmarks=benchmarks, strict=not args.degraded,
-                         wall_clock_deadline=args.deadline,
-                         pc_sample_interval=args.hot_pc,
-                         optimize=not args.no_opt,
-                         parallelism=args.jobs, cache_dir=cache_dir,
-                         engine=args.engine)
+    sink = telemetry.Telemetry() if args.telemetry is not None else None
 
-    if args.telemetry is not None:
-        sink = telemetry.Telemetry()
-        scope = telemetry.use(sink)
-    else:
-        sink = None
-        scope = contextlib.nullcontext()
+    def scope():
+        return (telemetry.use(sink) if sink is not None
+                else contextlib.nullcontext())
+
+    with scope():  # the cache's startup sweep reports into the sink
+        runner = SuiteRunner(benchmarks=benchmarks,
+                             strict=not args.degraded,
+                             wall_clock_deadline=args.deadline,
+                             pc_sample_interval=args.hot_pc,
+                             optimize=not args.no_opt,
+                             parallelism=args.jobs, cache_dir=cache_dir,
+                             engine=args.engine)
 
     start = time.time()
     generators = {
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         log.info("heuristic order: %s", " -> ".join(order))
     pairs, sequences = report_demand(runner.benchmark_names, tables, graphs)
     try:
-        with scope, telemetry.get().span(
+        with scope(), telemetry.get().span(
                 "report", category="harness",
                 tables=sorted(tables), graphs=sorted(graphs)):
             tm = telemetry.get()

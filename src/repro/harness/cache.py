@@ -41,14 +41,12 @@ Wall-clock-dependent failures (:class:`~repro.errors.SimulationTimeout`)
 are **never** cached: they are not reproducible functions of the key.
 Fuel-limit failures are deterministic and are negative-cached.
 
-Multi-tenant safety (see docs/robustness.md "The shared store"): stores
-are **single-writer per key** via advisory TTL leases
-(:mod:`repro.harness.locking`); a crashed writer's debris — orphaned
-``*.tmp`` files, stale lease records — is reclaimed by the startup
-sweep (:meth:`ArtifactCache.sweep`); and :meth:`ArtifactCache.
-get_or_wait` lets a reader wait out a racing writer instead of
-recomputing, picking up negative entries too (lock-aware negative
-caching).
+Multi-tenant safety (see docs/robustness.md "The shared store"): an
+entry is a pure function of its key, so two processes that miss the
+same key compute the same bytes, and whichever ``os.replace`` lands last
+publishes a complete entry either way — concurrent writers need no
+coordination.  A crashed writer's only debris, an orphaned ``*.tmp``
+file, is reclaimed by the startup sweep (:meth:`ArtifactCache.sweep`).
 """
 
 from __future__ import annotations
@@ -66,11 +64,9 @@ from typing import Any
 from repro import telemetry as _telemetry
 from repro.telemetry import flight as _flight
 from repro._version import __version__
-from repro.harness.locking import DEFAULT_LEASE_TTL_S, Lease, LeaseManager
 
 __all__ = ["ArtifactCache", "CACHE_SCHEMA", "compile_key", "run_key",
-           "sequence_key", "default_pass_spec", "CHAOS_LOCK_HOLD_ENV",
-           "DEFAULT_SWEEP_AGE_S"]
+           "sequence_key", "default_pass_spec", "DEFAULT_SWEEP_AGE_S"]
 
 #: bump on any change to the entry envelope or payload layout
 CACHE_SCHEMA = 1
@@ -79,23 +75,9 @@ CACHE_SCHEMA = 1
 _MAGIC = b"RPAC1\n"
 _DIGEST_BYTES = 32  # sha256
 
-#: ``<seconds>``: every lease-guarded store stalls this long while
-#: holding its writer lease — the lock-contention chaos seam
-CHAOS_LOCK_HOLD_ENV = "REPRO_CHAOS_LOCK_HOLD"
-
-#: only temp/lease files this stale are swept: a live writer's seconds-old
+#: only temp files this stale are swept: a live writer's seconds-old
 #: temp file must never be yanked out from under it
 DEFAULT_SWEEP_AGE_S = 300.0
-
-
-def _chaos_lock_hold_s() -> float:
-    spec = os.environ.get(CHAOS_LOCK_HOLD_ENV, "")
-    if not spec:
-        return 0.0
-    try:
-        return max(0.0, float(spec))
-    except ValueError:
-        return 0.0
 
 
 def default_pass_spec(optimize: bool) -> tuple[str, ...]:
@@ -210,22 +192,15 @@ class ArtifactCache:
     """
 
     def __init__(self, root: str | os.PathLike,
-                 version: str = __version__,
-                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-                 sweep_age_s: float = DEFAULT_SWEEP_AGE_S,
-                 sweep_on_init: bool = True) -> None:
+                 version: str = __version__) -> None:
         self.root = Path(root)
         self.version = version
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
         self.stores = 0
-        self.store_skipped = 0
         self.tmp_swept = 0
-        self.leases_swept = 0
-        self.sweep_age_s = sweep_age_s
-        self.leases = LeaseManager(self.root, ttl_s=lease_ttl_s)
-        if sweep_on_init and self.root.is_dir():
+        if self.root.is_dir():
             self.sweep()
 
     # -- paths ---------------------------------------------------------------
@@ -306,131 +281,71 @@ class ArtifactCache:
     def put(self, key: str, kind: str, payload: Any) -> bool:
         """Store *payload* under *key* atomically; returns success.
 
-        Writes are **single-writer per key**: the store happens under a
-        non-blocking advisory lease (see
-        :class:`~repro.harness.locking.LeaseManager`), and losing the
-        lease race means another tenant is already producing this exact
-        content-addressed entry — the write is skipped (counted as
-        ``store_skipped``), never duplicated or torn.
+        The entry is written to a temp file in its shard directory and
+        published with ``os.replace``, so a reader sees either no entry
+        or a complete one.  Two writers racing on one key write the same
+        bytes (the key is the content's address), and the last rename
+        wins harmlessly.
 
         A failed store (unpicklable payload, full disk) is counted and
         swallowed — the cache is an accelerator, never a failure source.
         """
         tm = _telemetry.get()
-        lease = self.leases.try_acquire(key)
-        if lease is None:
-            self.store_skipped += 1
-            tm.counter("harness.artifact_cache.store_skipped").inc()
-            return False
         try:
-            hold = _chaos_lock_hold_s()
-            if hold > 0:
-                time.sleep(hold)
+            body = pickle.dumps({
+                "schema": CACHE_SCHEMA,
+                "version": self.version,
+                "key": key,
+                "kind": kind,
+                "payload": payload,
+            }, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = _MAGIC + hashlib.sha256(body).digest() + body
+            path = self.path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                body = pickle.dumps({
-                    "schema": CACHE_SCHEMA,
-                    "version": self.version,
-                    "key": key,
-                    "kind": kind,
-                    "payload": payload,
-                }, protocol=pickle.HIGHEST_PROTOCOL)
-                blob = _MAGIC + hashlib.sha256(body).digest() + body
-                path = self.path_for(key)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(blob)
-                    os.replace(tmp, path)
-                except BaseException:
-                    with contextlib.suppress(OSError):
-                        os.unlink(tmp)
-                    raise
-            except Exception:
-                tm.counter("harness.artifact_cache.store_failed").inc()
-                return False
-            self.stores += 1
-            tm.counter("harness.artifact_cache.store").inc()
-            return True
-        finally:
-            lease.release()
-
-    def writer_lease(self, key: str, timeout_s: float = 10.0) -> Lease:
-        """A *waiting* single-writer lease on *key* for callers that
-        compute-then-store (the service job engine): only one process
-        across the whole store computes a missing key at a time; the
-        rest wait via :meth:`get_or_wait`.  Raises
-        :class:`~repro.errors.CacheLockError` past *timeout_s*.
-        """
-        return self.leases.acquire(key, timeout_s=timeout_s)
-
-    def get_or_wait(self, key: str, kind: str,
-                    timeout_s: float = 10.0,
-                    poll_s: float = 0.02) -> Any | None:
-        """Like :meth:`get`, but when the key is missing *and* another
-        tenant holds its writer lease, poll until that writer publishes
-        the entry (positive **or** negative — a deterministic failure
-        someone else just paid for is a hit too) or the lease clears.
-
-        Returns ``None`` on a true miss or when *timeout_s* elapses with
-        the lease still held (counted as ``lease_wait_timeout``) — the
-        caller computes for itself; waiting can cost time, never
-        correctness.
-        """
-        tm = _telemetry.get()
-        start = time.monotonic()
-        while True:
-            # quiet existence probe first: get() counts a miss per call,
-            # and one logical wait must not inflate the miss counter
-            if self.path_for(key).exists():
-                return self.get(key, kind)
-            if self.leases.holder(key) is None:
-                return self.get(key, kind)
-            waited = time.monotonic() - start
-            if waited >= timeout_s:
-                tm.counter(
-                    "harness.artifact_cache.lease_wait_timeout").inc()
-                return None
-            time.sleep(min(poll_s, max(0.0, timeout_s - waited)))
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(blob)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except Exception:
+            tm.counter("harness.artifact_cache.store_failed").inc()
+            return False
+        self.stores += 1
+        tm.counter("harness.artifact_cache.store").inc()
+        return True
 
     # -- maintenance ---------------------------------------------------------
 
-    def sweep(self, max_age_s: float | None = None) -> dict[str, int]:
+    def sweep(self, max_age_s: float = DEFAULT_SWEEP_AGE_S) -> int:
         """Crash-recovery sweep: remove orphaned ``*.tmp`` files (left by
-        writers killed between ``mkstemp`` and ``os.replace``) and
-        long-expired lease files; returns the removal counts.
+        writers killed between ``mkstemp`` and ``os.replace``); returns
+        the number removed.
 
-        Only debris older than *max_age_s* (default: the instance
-        ``sweep_age_s``) is removed, so a sweep can never race a live
-        writer's seconds-old temp file.  Runs automatically on
-        construction against an existing store (the *startup sweep*) and
-        is re-runnable any time; counts surface as the
-        ``harness.artifact_cache.tmp_swept`` / ``lease_swept``
-        telemetry counters and in :meth:`stats`.
+        Only temp files older than *max_age_s* are removed, so a sweep
+        can never race a live writer's seconds-old temp file.  Runs
+        automatically on construction against an existing store (the
+        *startup sweep*) and is re-runnable any time; the count surfaces
+        as the ``harness.artifact_cache.tmp_swept`` telemetry counter and
+        in :meth:`stats`.
         """
-        if max_age_s is None:
-            max_age_s = self.sweep_age_s
-        tm = _telemetry.get()
-        tmp_removed = 0
+        removed = 0
         now = time.time()
         if self.objects_dir.is_dir():
             for path in self.objects_dir.glob("*/*.tmp"):
                 with contextlib.suppress(OSError):
                     if now - path.stat().st_mtime > max_age_s:
                         path.unlink()
-                        tmp_removed += 1
-        lease_removed = self.leases.sweep(max_age_s)
-        self.tmp_swept += tmp_removed
-        self.leases_swept += lease_removed
-        if tmp_removed:
-            tm.counter("harness.artifact_cache.tmp_swept").inc(tmp_removed)
-        if lease_removed:
-            tm.counter("harness.artifact_cache.lease_swept").inc(
-                lease_removed)
-        if tmp_removed or lease_removed:
-            _flight.record("cache.sweep", tmp=tmp_removed,
-                           leases=lease_removed)
-        return {"tmp": tmp_removed, "leases": lease_removed}
+                        removed += 1
+        self.tmp_swept += removed
+        if removed:
+            _telemetry.get().counter(
+                "harness.artifact_cache.tmp_swept").inc(removed)
+            _flight.record("cache.sweep", tmp=removed)
+        return removed
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed."""
@@ -444,7 +359,4 @@ class ArtifactCache:
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "corrupt": self.corrupt, "stores": self.stores,
-                "store_skipped": self.store_skipped,
-                "tmp_swept": self.tmp_swept,
-                "leases_swept": self.leases_swept,
-                "entries": len(self)}
+                "tmp_swept": self.tmp_swept, "entries": len(self)}

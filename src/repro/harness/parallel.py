@@ -129,10 +129,6 @@ class ShardJob:
     #: True when *preseeded* is a sabotaged artifact: bypass the cache
     #: entirely (its content does not correspond to the source key)
     poisoned: bool = False
-    #: >0: when another tenant holds the writer lease for this run key,
-    #: wait up to this long for their entry instead of recomputing
-    #: (lock-aware read; the service sets this, batch runs leave it 0)
-    lease_wait_s: float = 0.0
     #: distributed-trace identity: non-empty when this shard is one hop
     #: of a service job's trace — the worker activates the context so
     #: its spans (and its telemetry snapshot's span args) join the trace
@@ -162,7 +158,7 @@ class ShardResult:
     telemetry: TelemetrySnapshot | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
     #: wall-clock trace spans recorded inside the worker (compile,
-    #: simulate, cache lease-wait) when the job carried a trace_id
+    #: cache lookup, simulate) when the job carried a trace_id
     trace: list = field(default_factory=list)
     #: the sequence analyzers when the job asked for them and the pass
     #: succeeded (a failed pass is left for the parent to re-run)
@@ -341,12 +337,8 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
     rkey = entry = None
     if cache is not None:
         rkey = _job_run_key(job, cache.version)
-        if job.lease_wait_s > 0:
-            with _tracing.span("cache.lease_wait", "cache",
-                               benchmark=job.benchmark, dataset=job.dataset):
-                entry = cache.get_or_wait(rkey, "run",
-                                          timeout_s=job.lease_wait_s)
-        else:
+        with _tracing.span("cache.get", "cache",
+                           benchmark=job.benchmark, dataset=job.dataset):
             entry = cache.get(rkey, "run")
     if entry is not None:
         if not entry.get("ok"):

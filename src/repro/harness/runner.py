@@ -467,8 +467,7 @@ class SuiteRunner:
                 # fold worker-side cache traffic into the parent's
                 # counters so stats()/CLI footers reflect the whole batch
                 for field_name in ("hits", "misses", "corrupt", "stores",
-                                   "store_skipped", "tmp_swept",
-                                   "leases_swept"):
+                                   "tmp_swept"):
                     setattr(self.cache, field_name,
                             getattr(self.cache, field_name)
                             + result.cache_stats.get(field_name, 0))

@@ -11,16 +11,15 @@ that sheds load as explicit typed degraded responses instead of hanging.
 The invariant (enforced by the chaos drill in CI and
 ``tests/test_service_chaos_drill.py``): **every accepted job terminates
 in a typed state, and nothing the service does can corrupt the shared
-artifact store** — cache writes are single-writer lease-guarded
-(:mod:`repro.harness.locking`) and results stay byte-identical to a
-serial run.
+artifact store** — every entry is published whole by an atomic rename
+and checked on read, and results stay byte-identical to a serial run.
 
 Entry points::
 
     python -m repro.service serve --port 8357    # run the daemon
     python -m repro.service smoke                # CI chaos drill
 
-See docs/robustness.md for the supervision / breaker / lease model.
+See docs/robustness.md for the supervision / breaker / store model.
 """
 
 from repro.service.breaker import BreakerState, CircuitBreaker

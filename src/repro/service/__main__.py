@@ -6,10 +6,9 @@
         --cache-dir .repro-cache
 
 ``smoke`` is the CI chaos drill: it starts a real engine + HTTP
-listener in-process, injects worker-crash / slow-worker / lock-hold
-chaos, pushes the mini benchmark suite (plus duplicates, to exercise
-dedupe) through the HTTP front end, and then asserts the service
-contract:
+listener in-process, injects worker-crash / slow-worker chaos, pushes
+the mini benchmark suite (plus duplicates, to exercise dedupe) through
+the HTTP front end, and then asserts the service contract:
 
 * every job reached a terminal state (nothing lost, nothing hung);
 * every non-``done`` outcome carries a typed, coded error body;
@@ -38,8 +37,6 @@ import sys
 import tempfile
 
 from repro import telemetry as _telemetry
-from repro.harness.cache import CHAOS_LOCK_HOLD_ENV
-from repro.harness.locking import CHAOS_LEASE_TTL_ENV
 from repro.harness.parallel import (
     CHAOS_SLOW_WORKER_ENV, CHAOS_WORKER_CRASH_ENV,
 )
@@ -52,8 +49,7 @@ from repro.telemetry.core import Telemetry
 
 #: the drill's workload: every job kind over the fast mini suite
 _MINI_SUITE = ("queens", "fields", "gauss")
-_CHAOS_ENVS = (CHAOS_WORKER_CRASH_ENV, CHAOS_SLOW_WORKER_ENV,
-               CHAOS_LOCK_HOLD_ENV, CHAOS_LEASE_TTL_ENV)
+_CHAOS_ENVS = (CHAOS_WORKER_CRASH_ENV, CHAOS_SLOW_WORKER_ENV)
 
 
 # -- tiny asyncio HTTP client (same loop as the server) -----------------------
@@ -140,10 +136,6 @@ async def _smoke(args) -> int:
         os.environ[CHAOS_WORKER_CRASH_ENV] = args.chaos_crash
     if args.chaos_slow:
         os.environ[CHAOS_SLOW_WORKER_ENV] = args.chaos_slow
-    if args.chaos_lock_hold:
-        os.environ[CHAOS_LOCK_HOLD_ENV] = str(args.chaos_lock_hold)
-    if args.chaos_lease_ttl:
-        os.environ[CHAOS_LEASE_TTL_ENV] = str(args.chaos_lease_ttl)
 
     config = ServiceConfig(
         workers=args.workers, cache_dir=args.cache_dir,
@@ -322,10 +314,6 @@ def main(argv: list[str] | None = None) -> int:
                        "('' disables)")
     smoke.add_argument("--chaos-slow", default="queens:0.2",
                        metavar="BENCH:SECONDS")
-    smoke.add_argument("--chaos-lock-hold", type=float, default=0.1,
-                       metavar="SECONDS")
-    smoke.add_argument("--chaos-lease-ttl", type=float, default=0.0,
-                       metavar="SECONDS")
     smoke.add_argument("--engine", default=None,
                        choices=("tier0", "tier1"),
                        help="simulator engine for the drill (CI also runs "

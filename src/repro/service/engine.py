@@ -36,11 +36,11 @@ the chaos drill enforces.  The moving parts:
 Execution is the harness's one execution core: every order runs
 :func:`repro.harness.parallel.run_shard` (compile orders stop after its
 compile step) inside a supervised slot, so the service shares the serial
-runner's artifact cache (here lease-guarded), negative caching,
-transient-fuel retries, run keys, and chaos seams.  A job's dedupe and
-quarantine key is its kind plus that core's content key (the compile key
-for compile jobs, the run key otherwise), so a ``predict`` job never
-follows a ``simulate`` job over the same run.
+runner's artifact cache, negative caching, transient-fuel retries, run
+keys, and chaos seams.  A job's dedupe and quarantine key is its kind
+plus that core's content key (the compile key for compile jobs, the run
+key otherwise), so a ``predict`` job never follows a ``simulate`` job
+over the same run.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class ServiceConfig:
     breaker_half_open_probes: int = 1
     health_interval_s: float = 5.0      #: 0 disables the background loop
     health_timeout_s: float = 10.0
-    lease_wait_s: float = 10.0          #: lock-aware read wait in workers
     start_method: str | None = None
     max_records: int = 4096             #: finished-record retention bound
     #: simulator execution engine for every job this service runs
@@ -395,7 +394,6 @@ class JobEngine:
             engine=cfg.engine,
             cache_dir=(str(self.cache.root)
                        if self.cache is not None else None),
-            lease_wait_s=cfg.lease_wait_s,
             collect_telemetry=True)
         return ServiceOrder(kind=request.kind.value, shard=shard)
 

@@ -396,7 +396,7 @@ class Machine:
             call_stack=frames, branch_history=list(self._branch_history),
             output_tail=self.output[-200:],
             # the process's black box rides along with the machine's: the
-            # last-N flight-recorder events (retries, lease steals, state
+            # last-N flight-recorder events (retries, redispatches, state
             # transitions) leading up to this fault
             flight=_flight.dump()[-32:])
 

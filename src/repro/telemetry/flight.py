@@ -2,7 +2,7 @@
 
 Metrics tell you *how often* things happen; the flight recorder tells
 you *what just happened* — the last-N structured events (job state
-transitions, crash redispatches, lease steals, breaker flips, worker
+transitions, crash redispatches, retries, breaker flips, worker
 respawns) leading up to a failure.  When a worker dies, a job is
 quarantined, or a deadline kill fires, the ring is dumped into the
 :class:`~repro.errors.CrashReport` / error context so every failure

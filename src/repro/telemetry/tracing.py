@@ -59,7 +59,6 @@ SEGMENT_NAMES = {
     "dispatch": "dispatch_s",
     "exec": "exec_s",
     "retry_backoff": "retry_backoff_s",
-    "cache.lease_wait": "lease_wait_s",
 }
 
 
@@ -250,10 +249,8 @@ def timeline(trace_id: str, spans: list[TraceSpan],
 
     ``segments`` carries the non-overlapping accounting the acceptance
     criterion checks: ``queue_wait_s + dispatch_s + exec_s`` (plus any
-    ``retry_backoff_s``) should approximate ``total_s``;
-    ``lease_wait_s`` is *inside* ``exec_s`` (a worker waiting on another
-    tenant's writer lease is still occupying its slot), so it is
-    reported but not added to ``accounted_s``.
+    ``retry_backoff_s``) should approximate ``total_s``.  Worker and
+    cache spans nest *inside* ``exec`` and are listed, never added.
     """
     ordered = sorted((s for s in spans if s.trace_id == trace_id),
                      key=lambda s: (s.start_s, s.span_id))
@@ -262,8 +259,7 @@ def timeline(trace_id: str, spans: list[TraceSpan],
         key = SEGMENT_NAMES.get(record.name)
         if key is not None:
             segments[key] += record.duration_s
-    accounted = (segments["queue_wait_s"] + segments["dispatch_s"]
-                 + segments["exec_s"] + segments["retry_backoff_s"])
+    accounted = sum(segments.values())
     segments = {k: round(v, 6) for k, v in segments.items()}
     segments["accounted_s"] = round(accounted, 6)
     if total_s is not None:

@@ -1,6 +1,6 @@
 """Property tests for the persistent artifact cache.
 
-Two families of guarantees (docs/performance.md):
+Three families of guarantees (docs/performance.md, docs/robustness.md):
 
 * **Key purity** — a cache key is a pure function of its inputs: equal
   inputs give equal keys, and changing ANY single input (source text,
@@ -11,19 +11,29 @@ Two families of guarantees (docs/performance.md):
   treated as a miss: truncation, bit flips, garbage, stale
   schema/version, and key/kind mismatches are all detected, evicted, and
   recomputed.  A corrupted cache can cost time, never correctness.
+* **The shared store** — concurrent writers need no coordination: each
+  entry is published whole by ``os.replace``, so N processes racing on
+  one key end with one coherent entry, every process holding the serial
+  result, and no temp-file litter; the startup sweep reclaims a crashed
+  writer's stale temp files without touching a live writer's.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.suite import get
 from repro.harness.cache import (
     ArtifactCache, CACHE_SCHEMA, _MAGIC, compile_key, run_key, sequence_key,
 )
+from repro.harness.parallel import ShardJob, run_shard
 
 # -- strategies ---------------------------------------------------------------
 
@@ -186,9 +196,7 @@ def test_roundtrip_arbitrary_payloads(tmp_path_factory, payload):
 def test_miss_on_absent_key(cache):
     assert cache.get("0" * 64, "run") is None
     assert cache.stats() == {"hits": 0, "misses": 1, "corrupt": 0,
-                             "stores": 0, "store_skipped": 0,
-                             "tmp_swept": 0, "leases_swept": 0,
-                             "entries": 0}
+                             "stores": 0, "tmp_swept": 0, "entries": 0}
 
 
 def _entry_path(cache, key):
@@ -318,3 +326,88 @@ def test_entry_layout_is_sharded(cache):
     assert rel.parts[1] == key[:2]
     assert rel.parts[2] == key[2:] + ".pkl"
     assert os.sep not in key
+
+
+# -- the shared store ---------------------------------------------------------
+
+def _rkey(n: int = 1) -> str:
+    return run_key("c" * 64, "ref", (n,), 100, None, 1)
+
+
+def test_put_creates_only_the_objects_dir(cache):
+    cache.put(_rkey(), "run", {"ok": True})
+    assert [p.name for p in cache.root.iterdir()] == ["objects"]
+
+
+def test_startup_sweep_reclaims_stale_debris_only(tmp_path):
+    first = ArtifactCache(tmp_path / "store")
+    first.put(_rkey(), "run", {"ok": True})
+    shard = first.path_for(_rkey()).parent
+    old_tmp = shard / "orphan-old.tmp"
+    old_tmp.write_bytes(b"half-written entry")
+    stale = time.time() - 3600
+    os.utime(old_tmp, (stale, stale))
+    fresh_tmp = shard / "orphan-fresh.tmp"
+    fresh_tmp.write_bytes(b"live writer's file")
+
+    second = ArtifactCache(tmp_path / "store")  # startup sweep runs here
+    assert not old_tmp.exists(), "hour-old orphan must be reclaimed"
+    assert fresh_tmp.exists(), "a live writer's temp file must survive"
+    assert second.stats()["tmp_swept"] == 1
+    assert second.get(_rkey(), "run") == {"ok": True}, \
+        "sweep must never touch real entries"
+
+
+def test_manual_sweep_reports_counts(cache):
+    cache.put(_rkey(), "run", {"ok": True})
+    shard = cache.path_for(_rkey()).parent
+    old_tmp = shard / "dead.tmp"
+    old_tmp.write_bytes(b"x")
+    stale = time.time() - 3600
+    os.utime(old_tmp, (stale, stale))
+    assert cache.sweep() == 1
+    assert cache.stats()["tmp_swept"] == 1
+
+
+def _shard_digest(result) -> tuple:
+    """Order-independent content digest of one shard result."""
+    profile = result.profile
+    edges = tuple(sorted(
+        (addr, profile.taken_count(addr), profile.not_taken_count(addr))
+        for addr in profile.executed_branches()))
+    return (result.status.value, result.instr_count, result.output, edges)
+
+
+def _hammer(order) -> tuple:
+    """Worker: run one shard against the SHARED store (module-level so it
+    pickles into the pool)."""
+    root, benchmark, dataset, inputs, fuel = order
+    job = ShardJob(benchmark=benchmark, dataset=dataset, inputs=inputs,
+                   fuel_budget=fuel, retry_fuel_factor=4, cache_dir=root)
+    return _shard_digest(run_shard(job))
+
+
+def test_multiprocess_hammering_matches_serial_byte_for_byte(tmp_path):
+    """N processes racing on ONE key leave the store with one coherent
+    entry and every process holding the serial run's exact result."""
+    benchmark, dataset, fuel = "queens", "small", 100_000_000
+    inputs = tuple(get(benchmark).dataset(dataset).inputs)
+
+    serial_job = ShardJob(benchmark=benchmark, dataset=dataset,
+                          inputs=inputs, fuel_budget=fuel,
+                          retry_fuel_factor=4,
+                          cache_dir=str(tmp_path / "serial-store"))
+    serial = _shard_digest(run_shard(serial_job))
+
+    shared = tmp_path / "shared-store"
+    order = (str(shared), benchmark, dataset, inputs, fuel)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=4, mp_context=context) as pool:
+        digests = list(pool.map(_hammer, [order] * 4))
+
+    assert all(digest == serial for digest in digests), \
+        "every contending process must hold the serial result"
+    store = ArtifactCache(shared)
+    assert len(store) == 2, "exactly one compile + one run entry"
+    assert not list(store.objects_dir.glob("*/*.tmp")), \
+        "contention must leave no temp-file litter"

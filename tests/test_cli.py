@@ -1,5 +1,8 @@
 """Tests for the command-line entry points (in-process, via main(argv))."""
 
+import os
+import time
+
 import pytest
 
 from repro.bcc.__main__ import main as bcc_main
@@ -137,6 +140,24 @@ class TestHarnessCli:
         assert "error[simulation-timeout]" in err
         assert "benchmark=queens" in err
         assert "Traceback" not in err
+
+    def test_startup_sweep_reaches_the_telemetry_bundle(self, tmp_path):
+        from repro.harness.__main__ import main as harness_main
+        orphan = tmp_path / "store" / "objects" / "ab" / "orphan.tmp"
+        orphan.parent.mkdir(parents=True)
+        orphan.write_bytes(b"half-written entry")
+        stale = time.time() - 3600
+        os.utime(orphan, (stale, stale))
+        bundle = tmp_path / "bundle"
+        assert harness_main(["--benchmarks", "queens", "--tables", "1",
+                             "--graphs", "", "--cache",
+                             str(tmp_path / "store"),
+                             "--telemetry", str(bundle)]) == 0
+        assert not orphan.exists()
+        prom = (bundle / "metrics.prom").read_text().splitlines()
+        swept = [line.split()[-1] for line in prom if line.startswith(
+            "repro_harness_artifact_cache_tmp_swept_total ")]
+        assert [float(value) for value in swept] == [1.0]
 
     @pytest.mark.parametrize("option, argv", [
         ("--tables", ["--tables", "9"]),

@@ -17,9 +17,11 @@ tier-1 tests here cover the 3-benchmark MINI_SUITE; the tier-2 tests
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,9 @@ from repro.telemetry import Telemetry
 from repro.testing.chaos import sabotage
 
 from conftest import MINI_SUITE
+
+#: sha256 per blank-line block of the default report over MINI_SUITE
+MINI_GOLDEN = Path(__file__).parent / "golden_report_mini.json"
 
 
 def mini_report(runner: SuiteRunner) -> str:
@@ -231,6 +236,16 @@ class TestReportBatch:
     def test_stdout_is_byte_identical(self, reports):
         assert reports["2"][0] == reports["1"][0]
         assert "Graph 13" in reports["1"][0]
+
+    def test_serial_report_matches_the_mini_golden(self, reports):
+        golden = json.loads(MINI_GOLDEN.read_text())["blocks"]
+        digests = {}
+        for block in reports["1"][0].strip("\n").split("\n\n"):
+            title = block.strip("\n").splitlines()[0].split(":")[0]
+            digests[title] = hashlib.sha256(block.encode()).hexdigest()
+        assert list(digests) == list(golden), "report blocks changed"
+        moved = [title for title in golden if digests[title] != golden[title]]
+        assert not moved, f"report blocks moved: {moved}"
 
     def test_parent_simulates_nothing(self, reports):
         assert len(reports["1"][1]) == 3 * len(MINI_SUITE)

@@ -166,14 +166,15 @@ class TestTimeline:
             tracing.manual_span(ctx, "queue_wait", "queue", 0.0, 1.0),
             tracing.manual_span(ctx, "dispatch", "service", 1.0, 1.5),
             tracing.manual_span(ctx, "exec", "service", 1.5, 4.0),
-            tracing.manual_span(ctx, "cache.lease_wait", "cache", 2.0, 3.0),
+            tracing.manual_span(ctx, "cache.get", "cache", 2.0, 3.0),
             tracing.manual_span(ctx, "retry_backoff", "service", 4.0, 4.25),
         ]
         body = timeline(ctx.trace_id, spans, total_s=4.25)
         seg = body["segments"]
         assert seg["queue_wait_s"] == 1.0
-        assert seg["lease_wait_s"] == 1.0
-        # lease wait happens *inside* exec: reported, never double-counted
+        # the cache lookup happens *inside* exec: listed, never
+        # double-counted
+        assert "cache.get" in [s["name"] for s in body["spans"]]
         assert seg["accounted_s"] == 1.0 + 0.5 + 2.5 + 0.25
         assert seg["total_s"] == 4.25
         assert body["tiers"] == ["cache", "queue", "service"]
