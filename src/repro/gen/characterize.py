@@ -215,13 +215,13 @@ def evidence_counts(programs: list[GenProgram]) -> dict[str, dict[str, int]]:
     """Statically decided branch facts per cluster, by evidence source.
 
     Compiles each program fold-free (so decided branches survive into
-    the IR), seeds the interprocedural ranges, and attributes every
-    decided fact to its procedure's ground-truth cluster — the static
-    side of the characterization: where SCCP, value ranges, and SCEV
-    actually decide generated branches.
+    the IR), classifies its branches (which seeds the interprocedural
+    ranges), and attributes every decided fact to its procedure's
+    ground-truth cluster — the static side of the characterization:
+    where SCCP, value ranges, and SCEV actually decide generated
+    branches.
     """
     from repro.analysis.branches import analyze_branch_evidence
-    from repro.analysis.interproc import seed_interprocedural_ranges
     from repro.bcc.driver import compile_to_ir
     from repro.harness.evidence import NO_FOLD_PASSES
 
@@ -229,7 +229,6 @@ def evidence_counts(programs: list[GenProgram]) -> dict[str, dict[str, int]]:
     for gp in programs:
         program = compile_to_ir(gp.source, filename=f"{gp.name}.blc",
                                 passes=NO_FOLD_PASSES)
-        seed_interprocedural_ranges(program)
         for fact in analyze_branch_evidence(program).decided_facts():
             label = gp.label_of(fact.function)
             if label == "runtime":

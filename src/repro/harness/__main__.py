@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import time
 
@@ -243,14 +244,20 @@ def main(argv: list[str] | None = None) -> int:
                              engine=args.engine)
 
     start = time.time()
+
+    @functools.cache
+    def final_results():
+        """Table 6, built once for Tables 6 and 7."""
+        return table6(runner, order=order)
+
     generators = {
         1: lambda: table1(runner).render(),
         2: lambda: table2(runner).render(),
         3: lambda: table3(runner).render(),
         4: lambda: table4(runner).render(),
         5: lambda: table5(runner, order=order).render(),
-        6: lambda: table6(runner, order=order).render(),
-        7: lambda: table7(runner, order=order).render(),
+        6: lambda: final_results().render(),
+        7: lambda: table7(runner, order=order, t6=final_results()).render(),
     }
     if order is not None:
         log.info("heuristic order: %s", " -> ".join(order))

@@ -98,7 +98,7 @@ def export_tables(runner: SuiteRunner, outdir: Path) -> list[Path]:
                  r.loop_rand_miss] for r in t6.rows])
     written.append(path)
 
-    t7 = table7(runner)
+    t7 = table7(runner, t6=t6)
     path = outdir / "table7.json"
     path.write_text(json.dumps({
         "all": {k: {"mean": m, "std": s} for k, (m, s) in

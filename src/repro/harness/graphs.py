@@ -202,8 +202,8 @@ def graph13(runner: SuiteRunner,
     """Heuristic vs perfect miss rates on every dataset of every benchmark.
 
     The heuristic predictor makes the *same* predictions regardless of
-    dataset (it is program-based); the perfect predictor is re-derived per
-    dataset."""
+    dataset (it is program-based), so it is built once per program; the
+    perfect predictor is re-derived per dataset."""
     from repro.bench.suite import get
     from repro.core.evaluation import evaluate_predictor
 
@@ -215,13 +215,15 @@ def graph13(runner: SuiteRunner,
             failed.append(runner.outcome(name))
             continue
         benchmark = get(name)
+        heuristic = None
         for ds in benchmark.datasets:
             outcome = runner.outcome(name, ds.name)
             if outcome.failed:  # unreachable in strict mode (raises)
                 failed.append(outcome)
                 continue
             run = outcome.require()
-            heuristic = HeuristicPredictor(run.analysis)
+            if heuristic is None or heuristic.analysis is not run.analysis:
+                heuristic = HeuristicPredictor(run.analysis)
             perfect = PerfectPredictor(run.analysis, run.profile)
             h_eval = evaluate_predictor(heuristic, run.profile)
             p_eval = evaluate_predictor(perfect, run.profile)

@@ -64,10 +64,12 @@ def heuristic_table(run: BenchmarkRun) -> dict[int, dict[str, Prediction]]:
 
 
 def order_data_for(run: BenchmarkRun) -> OrderData:
-    """The vectorized order-evaluation table for one run (cached)."""
+    """The vectorized order-evaluation table for one run (cached), read
+    from the run's :func:`heuristic_table`."""
     cached = getattr(run, "_order_data", None)
     if cached is None:
-        cached = build_order_data(run.name, run.analysis, run.profile)
+        cached = build_order_data(run.name, run.analysis, run.profile,
+                                  table=heuristic_table(run))
         run._order_data = cached
     return cached
 
@@ -570,12 +572,15 @@ class Table7:
 
 def table7(runner: SuiteRunner, big_threshold: float = 0.9,
            big_count_limit: int = 6,
-           order: tuple[str, ...] | None = None) -> Table7:
+           order: tuple[str, ...] | None = None,
+           t6: Table6 | None = None) -> Table7:
     """The paper's exclusion rule, literally: programs where "over 90% of
     the non-loop branches are accounted for by a few branch instructions" —
-    we read "a few" as at most *big_count_limit* big branches.  *order*
-    (default: the paper chain) is forwarded to the underlying Table 6."""
-    t6 = table6(runner, order=order)
+    we read "a few" as at most *big_count_limit* big branches.  The
+    statistics summarize *t6*, the Table 6 of *runner* under *order*;
+    without one it is built here (*order* defaults to the paper chain)."""
+    if t6 is None:
+        t6 = table6(runner, order=order)
     excluded = []
     runs, failed = _runs_and_failures(runner)
     for run in runs:

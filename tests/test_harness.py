@@ -1,18 +1,22 @@
 """Tests for the experiment harness over a small benchmark subset."""
 
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import MINI_SUITE
 from repro import telemetry
 from repro.bench.suite import Benchmark, Dataset, registered
+from repro.core import orders
 from repro.errors import SimulationLimitExceeded
 from repro.harness import (
     SuiteRunner, TextTable, cd_cell, graph1, graph12, graph13, graphs2_3,
     graphs4_11, mean_std, pct, table1, table2, table3, table4, table5,
     table6, table7,
 )
+from repro.harness import graphs, tables
 from repro.harness.tables import heuristic_table, order_data_for
 from repro.sim import FORCE_TIER0_ENV, Machine, SequenceAnalyzer
 from repro.telemetry import Telemetry
@@ -142,6 +146,13 @@ class TestTables:
             assert 0 <= mean <= 1
         t.render()
 
+    def test_table7_summarizes_a_given_table6(self, small_runner,
+                                              monkeypatch):
+        t6 = table6(small_runner)
+        expected = table7(small_runner)
+        monkeypatch.setattr(tables, "table6", None)  # not built again
+        assert table7(small_runner, t6=t6) == expected
+
     def test_heuristic_table_cached(self, queens_run):
         a = heuristic_table(queens_run)
         b = heuristic_table(queens_run)
@@ -149,6 +160,19 @@ class TestTables:
 
     def test_order_data_cached(self, queens_run):
         assert order_data_for(queens_run) is order_data_for(queens_run)
+
+    def test_order_data_reads_the_heuristic_table(self, queens_run,
+                                                  monkeypatch):
+        run = queens_run
+        fresh = orders.build_order_data(run.name, run.analysis, run.profile)
+        table = heuristic_table(run)
+        monkeypatch.setattr(orders, "applicable_heuristics", None)
+        data = orders.build_order_data(run.name, run.analysis, run.profile,
+                                       table=table)
+        for column in ("applies", "predict_taken", "taken", "not_taken",
+                       "default_taken"):
+            assert np.array_equal(getattr(data, column),
+                                  getattr(fresh, column))
 
 
 class TestGraphs:
@@ -189,9 +213,12 @@ class TestGraphs:
         family = graph12(max_length=50)
         assert all(len(curve) == 50 for curve in family.values())
 
-    def test_graph13(self, small_runner):
+    def test_graph13(self, small_runner, monkeypatch):
+        built = mock.Mock(wraps=graphs.HeuristicPredictor)
+        monkeypatch.setattr(graphs, "HeuristicPredictor", built)
         g = graph13(small_runner, benchmarks=["queens"])
         assert len(g.points) == 3  # three datasets
+        assert built.call_count == 1  # one program: one set of predictions
         for p in g.points:
             assert p.perfect_miss <= p.heuristic_miss + 1e-9
         assert "queens" in g.describe()

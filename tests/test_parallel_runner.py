@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
+from repro.core import orders
 from repro.errors import SimulationLimitExceeded, WorkerCrashError, WorkerError
 from repro.harness import (
     SEQUENCE_BENCHMARKS, RunStatus, SuiteRunner,
@@ -43,6 +44,9 @@ from conftest import MINI_SUITE
 
 #: sha256 per blank-line block of the default report over MINI_SUITE
 MINI_GOLDEN = Path(__file__).parent / "golden_report_mini.json"
+#: sha256 per blank-line block of the default full-suite report, keyed by
+#: section in print order: the benchmark's golden (perf/run.py), read only
+FULL_GOLDEN = Path(__file__).parents[1] / "perf" / "golden" / "report.json"
 
 
 def mini_report(runner: SuiteRunner) -> str:
@@ -202,6 +206,21 @@ def spy_machine_runs(patch) -> list:
     return calls
 
 
+def spy_subset_sweeps(patch) -> list:
+    """The *k* of every subset sweep run in this process from now on,
+    starting from an empty sweep memo, so no earlier sweep answers."""
+    sweeps = []
+    sweep = orders._subset_sweep
+
+    def spy(*args):
+        sweeps.append(args[2])
+        return sweep(*args)
+
+    patch.setattr(orders, "_last_sweep", {})
+    patch.setattr(orders, "_subset_sweep", spy)
+    return sweeps
+
+
 def cli_report(*argv: str) -> str:
     """stdout of ``python -m repro.harness`` over the mini suite (a later
     ``--benchmarks`` wins)."""
@@ -229,8 +248,9 @@ class TestReportBatch:
             bundle = tmp_path_factory.mktemp(f"jobs{jobs}")
             with pytest.MonkeyPatch.context() as patch:
                 calls = spy_machine_runs(patch)
+                sweeps = spy_subset_sweeps(patch)
                 text = cli_report("--jobs", jobs, "--telemetry", str(bundle))
-            out[jobs] = (text, calls, bundle)
+            out[jobs] = (text, calls, bundle, sweeps)
         return out
 
     def test_stdout_is_byte_identical(self, reports):
@@ -277,9 +297,14 @@ class TestReportBatch:
             batch = ["prefetch"] if jobs == "2" else []
             assert children == batch + sections
             names = [e["name"] for e in events]
-            # Table 4 and Graphs 2-3 each run the subset experiment
+            # Table 4 and Graphs 2-3 each call the subset experiment;
+            # the second call returns the first call's sweep
             assert names.count("orders.subset") == 2
             assert names.count("orders.pairwise") == 1
+
+    def test_table4_and_graphs2_3_share_one_sweep(self, reports):
+        for jobs in ("1", "2"):
+            assert reports[jobs][3] == [len(MINI_SUITE) // 2]
 
     def test_sequence_passes_ride_in_the_batch(self, monkeypatch):
         argv = ["--benchmarks", "quad,scc", "--tables", "", "--graphs", "4"]
@@ -504,3 +529,19 @@ class TestFullSuiteDeterminism:
             reports.append(full_report(runner))
         assert reports[0] == reports[1]
         assert "FAILED" in reports[0]
+
+
+@pytest.mark.tier2
+def test_full_report_matches_the_benchmark_golden():
+    """The default 22-benchmark report, block by block. ``--jobs 2``
+    keeps it short; TestReportBatch pins ``--jobs 2`` to the serial
+    report."""
+    golden = json.loads(FULL_GOLDEN.read_text())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert harness_main(["--jobs", "2"]) == 0
+    blocks = out.getvalue().strip("\n").split("\n\n")
+    assert len(blocks) == len(golden), "report blocks changed"
+    moved = [name for name, block in zip(golden, blocks)
+             if hashlib.sha256(block.encode()).hexdigest() != golden[name]]
+    assert not moved, f"report blocks moved: {moved}"
