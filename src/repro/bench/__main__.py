@@ -65,12 +65,15 @@ def _measure(name: str, dataset: str, engine: str, best: int,
     Returns (instructions/second, instructions per measurement).
     """
     from repro.bench.suite import get
+    from repro.core.predictors import HeuristicPredictor
     from repro.core.sequences import sequence_experiment
     from repro.harness.parallel import compile_artifact
     from repro.sim import EdgeProfile, Machine
 
     bench = get(name)
     executable, analysis = compile_artifact(bench)
+    # the report's superblock layout (sequence_experiment applies it too)
+    layout = HeuristicPredictor(analysis).prediction_map()
     inputs = list(bench.dataset(dataset).inputs)
     best_ips = 0.0
     total = 0
@@ -78,7 +81,8 @@ def _measure(name: str, dataset: str, engine: str, best: int,
         start = perf_counter()
         profile = EdgeProfile()
         Machine(executable, inputs=list(inputs), observers=[profile],
-                max_instructions=max_instructions, engine=engine).run()
+                max_instructions=max_instructions, engine=engine,
+                layout=layout).run()
         analyzers = sequence_experiment(
             executable, profile, inputs=list(inputs), analysis=analysis,
             max_instructions=max_instructions, engine=engine)

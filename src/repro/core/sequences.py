@@ -50,14 +50,16 @@ def sequence_experiment(
     *profile* must come from an identical prior run (same inputs); it
     defines the perfect predictor. Returns analyzers keyed
     ``"Loop+Rand" | "Heuristic" | "Perfect"``.  The limits and *engine*
-    are forwarded to the :class:`~repro.sim.Machine`.
+    are forwarded to the :class:`~repro.sim.Machine`, which lays its
+    superblocks out along the Heuristic map.
     """
     if analysis is None:
         analysis = classify_branches(executable)
-    return run_with_sequences(executable,
-                              sequence_predictions(analysis, profile),
+    predictions = sequence_predictions(analysis, profile)
+    return run_with_sequences(executable, predictions,
                               inputs=inputs,
                               max_instructions=max_instructions,
                               engine=engine,
                               max_memory_bytes=max_memory_bytes,
-                              wall_clock_deadline=wall_clock_deadline)
+                              wall_clock_deadline=wall_clock_deadline,
+                              layout=predictions["Heuristic"])

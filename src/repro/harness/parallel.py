@@ -54,6 +54,7 @@ from repro.telemetry import flight as _flight
 from repro.telemetry import tracing as _tracing
 from repro.bench.suite import Benchmark, get
 from repro.core.classify import ProgramAnalysis, classify_branches
+from repro.core.predictors import HeuristicPredictor
 from repro.core.sequences import sequence_experiment, sequence_predictions
 from repro.errors import (
     ReproError, SimulationTimeout, WorkerCrashError, WorkerError,
@@ -352,6 +353,9 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
     else:
         # -- simulate, retrying transient failures, and store ---------------
         policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
+        # superblocks follow the paper's own prediction (fewer side exits;
+        # the profile is the same under any layout)
+        layout = HeuristicPredictor(analysis).prediction_map()
         attempt = 1
         while True:
             profile = EdgeProfile()
@@ -371,7 +375,7 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
                         wall_clock_deadline=job.wall_clock_deadline,
                         max_memory_bytes=job.max_memory_bytes,
                         pc_sample_interval=job.pc_sample_interval,
-                        engine=job.engine).run()
+                        engine=job.engine, layout=layout).run()
                 break
             except ReproError as exc:
                 exc.with_context(benchmark=job.benchmark, dataset=job.dataset)

@@ -66,13 +66,15 @@ def run_with_sequences(
     engine: str | None = None,
     max_memory_bytes: int | None = None,
     wall_clock_deadline: float | None = None,
+    layout: dict[int, bool] | None = None,
 ) -> dict[str, SequenceAnalyzer]:
     """Run *executable* once while measuring the sequence-length distribution
     of several static predictors simultaneously.
 
     *predictions_by_name* maps a label (e.g. ``"perfect"``) to a full
     prediction map (branch address -> predict-taken). Returns the analyzers
-    keyed by the same labels.
+    keyed by the same labels.  *layout* is forwarded to the
+    :class:`Machine` (the superblock path; no observable depends on it).
     """
     analyzers = {name: SequenceAnalyzer(preds)
                  for name, preds in predictions_by_name.items()}
@@ -80,6 +82,7 @@ def run_with_sequences(
                       observers=list(analyzers.values()),
                       max_instructions=max_instructions, engine=engine,
                       max_memory_bytes=max_memory_bytes,
-                      wall_clock_deadline=wall_clock_deadline)
+                      wall_clock_deadline=wall_clock_deadline,
+                      layout=layout)
     machine.run()
     return analyzers

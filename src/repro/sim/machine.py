@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -191,6 +192,14 @@ class Machine:
         :func:`repro.sim.engine.resolve_engine_name`: the
         ``REPRO_CHAOS_FORCE_TIER0`` chaos seam, then ``REPRO_SIM_ENGINE``,
         then the default ``tier1``.
+    layout:
+        Optional map of conditional-branch address to "assume taken",
+        typically the program's Ball–Larus prediction.  Tier 1 lays each
+        superblock out along that direction at every branch it does not
+        fold; ``None``, and any address the map lacks, fall back to
+        backward-taken/forward-not-taken.  Only the side-exit rate
+        depends on it — every observable is identical under any map —
+        and Tier 0 ignores it.
     """
 
     def __init__(
@@ -206,8 +215,10 @@ class Machine:
         pc_sample_interval: int | None = None,
         telemetry: "_telemetry.Telemetry | None" = None,
         engine: str | None = None,
+        layout: Mapping[int, bool] | None = None,
     ) -> None:
         self.executable = executable
+        self.layout = layout
         max_pages = None
         if max_memory_bytes is not None:
             max_pages = max(1, -(-max_memory_bytes // PAGE_SIZE))

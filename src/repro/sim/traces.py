@@ -1,9 +1,11 @@
 """Tier-1 superblocks: hot straight-line regions fused into one callable.
 
 A *superblock* starts at a hot landing pc (a branch/jump target the engine
-has seen often enough) and follows the statically-likely path: fall-through
-for forward conditional branches, the target for backward ones (the classic
-backward-taken/forward-not-taken heuristic), straight through direct ``j``,
+has seen often enough) and follows the statically-likely path: at each
+conditional branch the direction the machine's ``layout`` predicts (the
+harness passes the program's Ball–Larus prediction), else fall-through for
+forward branches and the target for backward ones (the classic
+backward-taken/forward-not-taken convention), straight through direct ``j``,
 and straight *into* direct calls — ``jal`` is inlined ($ra becomes a block
 constant, the shadow call stack is maintained exactly), and a ``jr $ra``
 whose value survived the callee continues the trace at the return point,
@@ -50,11 +52,11 @@ not per iteration.
 
 Block compile products are shared across machines.  The
 machine-independent :class:`BlockSpec` (generated code object, event
-offsets, line map, fold table) is cached per ``Executable`` in a
-weak-keyed module map; a fresh :class:`TraceCache` re-binds specs to its
-own machine (rebuilding only the machine-bound iteration events) instead
-of re-forming superblocks, and negative entries (refused heads) are
-shared too.
+offsets, line map, fold table) is cached per ``Executable`` and layout
+content in a weak-keyed module map; a fresh :class:`TraceCache` re-binds
+specs to its own machine (rebuilding only the machine-bound iteration
+events) instead of re-forming superblocks, and negative entries (refused
+heads) are shared too.
 
 Registers known to be compile-time constants are folded into the emitted
 expressions: ``$zero`` seeds the fold (guarded by a one-line entry check
@@ -182,21 +184,24 @@ class BlockSpec:
                  "slen")
 
 
-#: executable → {head: BlockSpec | None} — the cross-machine spec cache
-#: (``None`` records an uncompilable head so repeat machines skip the
-#: formation attempt too); entries die with their executable
+#: executable → {layout key: {head: BlockSpec | None}} — the cross-machine
+#: spec cache (``None`` records an uncompilable head so repeat machines
+#: skip the formation attempt too); entries die with their executable.
+#: The layout key is the map's *content*, so a block shape — and with it
+#: the side-exit count — never depends on which machine formed it first.
 _SHARED_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _specs_for(executable) -> dict:
-    specs = _SHARED_SPECS.get(executable)
-    if specs is None:
-        specs = {}
+def _specs_for(executable, layout=None) -> dict:
+    by_layout = _SHARED_SPECS.get(executable)
+    if by_layout is None:
+        by_layout = {}
         try:
-            _SHARED_SPECS[executable] = specs
+            _SHARED_SPECS[executable] = by_layout
         except TypeError:  # not weak-referenceable: private per-cache dict
             pass
-    return specs
+    key = frozenset(layout.items()) if layout else None
+    return by_layout.setdefault(key, {})
 
 
 def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
@@ -262,6 +267,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     """
     insts = machine._insts
     tindex = machine._tindex
+    layout = machine.layout or {}
     n = len(insts)
 
     body: list[tuple[str, int | None]] = []   # (line text, block offset)
@@ -891,8 +897,12 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         t_idx = tindex[p]
         (t_idx,) = _need_int(t_idx)
         fall = p + 1
-        # backward-taken/forward-not-taken assumed direction
-        assume_taken = 0 <= inst.target_address <= inst.address
+        # the layout's predicted direction, else backward-taken/forward-
+        # not-taken; any choice is exact (the other direction side-exits),
+        # only the side-exit rate depends on it
+        assume_taken = layout.get(inst.address)
+        if assume_taken is None:
+            assume_taken = 0 <= inst.target_address <= inst.address
         side = fall if assume_taken else t_idx
         m = len(branches)
         if in_tail:
@@ -1334,7 +1344,7 @@ class TraceCache:
         self.code_map: dict = {}
         self.blacklist: set[int] = set()
         self.compiled = 0
-        self._specs = _specs_for(machine.executable)
+        self._specs = _specs_for(machine.executable, machine.layout)
 
     def compile(self, head) -> CompiledBlock | None:
         if self.compiled >= MAX_BLOCKS or head in self.blacklist:

@@ -7,7 +7,9 @@ threshold, so the superblock machinery — formation, fold compression,
 side exits, event replay — is exercised on program shapes nobody
 hand-picked.  Both tiers must agree on *everything* observable:
 architectural state, memory image, output, edge profiles, branch
-traces, and the independently-computed reference result.
+traces, and the independently-computed reference result — under an
+arbitrary superblock layout drawn per program, and without any
+superblock formation raising.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.sim.trace import BranchTrace
 from repro.sim.traces import HOT_THRESHOLD
 
 from test_differential_compiler import _VARS, statements
+from test_sim_tiers import watched_formations
 
 #: outer trip count: comfortably past the compile threshold so random
 #: loop bodies become superblocks, not just interpreter fodder
@@ -61,22 +64,34 @@ int main() {{
     return source, expected
 
 
-def _instrumented_run(executable, tier):
+def layouts(executable):
+    """Arbitrary superblock layouts for *executable*: each conditional
+    branch is assumed taken, assumed not taken, or left to the
+    backward-taken/forward-not-taken fallback."""
+    choices = {inst.address: st.sampled_from((None, True, False))
+               for _, _, inst in executable.conditional_branches()}
+    return st.fixed_dictionaries(choices).map(
+        lambda drawn: {a: t for a, t in drawn.items() if t is not None})
+
+
+def _instrumented_run(executable, tier, layout=None):
     profile, trace = EdgeProfile(), BranchTrace()
     machine = Machine(executable, observers=[profile, trace], engine=tier,
-                      max_instructions=20_000_000)
-    status = machine.run()
+                      max_instructions=20_000_000, layout=layout)
+    with watched_formations():
+        status = machine.run()
     return status, machine, profile, trace
 
 
 class TestTierProperty:
     @settings(max_examples=40, deadline=None)
-    @given(hot_programs())
-    def test_tiers_agree_on_random_hot_programs(self, program):
+    @given(hot_programs(), st.data())
+    def test_tiers_agree_on_random_hot_programs(self, program, data):
         source, expected = program
         executable = compile_and_link(source)
-        s0, m0, p0, t0 = _instrumented_run(executable, "tier0")
-        s1, m1, p1, t1 = _instrumented_run(executable, "tier1")
+        layout = data.draw(layouts(executable), label="layout")
+        s0, m0, p0, t0 = _instrumented_run(executable, "tier0", layout)
+        s1, m1, p1, t1 = _instrumented_run(executable, "tier1", layout)
         assert s1.exit_code == s0.exit_code, source
         assert s1.instr_count == s0.instr_count, source
         assert s1.dynamic_branches == s0.dynamic_branches, source
@@ -90,8 +105,8 @@ class TestTierProperty:
         assert [int(x) for x in s1.output.split()] == expected, source
 
     @settings(max_examples=15, deadline=None)
-    @given(hot_programs())
-    def test_tier1_fuel_faults_identically(self, program):
+    @given(hot_programs(), st.data())
+    def test_tier1_fuel_faults_identically(self, program, data):
         """Cutting the fuel budget mid-superblock must fault at exactly
         the same instruction on both tiers (the trace cache refuses to
         enter a block it cannot finish, then single-steps to the limit).
@@ -108,11 +123,13 @@ class TestTierProperty:
         budget = full.instr_count // 2
         if budget < 10:
             return  # degenerate program: nothing to cut
+        layout = data.draw(layouts(executable), label="layout")
         reports = {}
         for tier in ("tier0", "tier1"):
             machine = Machine(executable, engine=tier,
-                              max_instructions=budget)
-            with pytest.raises(SimulationLimitExceeded) as excinfo:
+                              max_instructions=budget, layout=layout)
+            with watched_formations(), \
+                    pytest.raises(SimulationLimitExceeded) as excinfo:
                 machine.run()
             fields = dataclasses.asdict(excinfo.value.crash_report)
             fields.pop("flight", None)

@@ -10,19 +10,29 @@ with rejoin folds, straight-line), on side-exit-heavy branch patterns,
 and on the full benchmark suite; plus the engine-selection seams, the
 run-key engine fingerprint, shared block specs across machines, and
 the deadline-overshoot / tick-accounting bounds of both tiers.
+
+The mode, mini-suite and fault differentials run under three superblock
+layouts: none (backward-taken/forward-not-taken), the program's
+Ball–Larus prediction, and that prediction inverted — the last forces
+forward-taken and backward-not-taken assumptions through every
+side-exit and crash-recovery path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import pytest
 
 from repro import telemetry
 from repro.bcc import compile_and_link
+from repro.core.classify import classify_branches
+from repro.core.predictors import HeuristicPredictor
 from repro.errors import ReproError, SimulationTimeout
 from repro.harness.cache import run_key
 from repro.sim import FORCE_TIER0_ENV, Machine, resolve_engine_name
+from repro.sim import traces
 from repro.sim.profile import EdgeProfile
 from repro.sim.trace import BranchTrace
 from repro.sim.traces import HOT_THRESHOLD, MAX_BLOCK_LEN, _specs_for
@@ -83,6 +93,57 @@ MODE_PROGRAMS = [("hot-loop", HOT_LOOP), ("diamond", DIAMOND),
                  ("side-exit", SIDE_EXIT), ("calls", CALLS)]
 
 
+def ball_larus(executable, analysis=None):
+    """The program's Ball–Larus prediction map, as the harness builds it."""
+    analysis = analysis or classify_branches(executable)
+    return HeuristicPredictor(analysis).prediction_map()
+
+
+@contextlib.contextmanager
+def watched_formations():
+    """Record every superblock formation as (head, raised) and fail if
+    any raised.
+
+    :meth:`TraceCache.compile` turns a formation exception into a
+    blacklisted head, so a bug in the path rule would otherwise show up
+    only as lost speed."""
+    seen = []
+    form = traces._form_superblock
+
+    def spy(machine, head):
+        try:
+            spec = form(machine, head)
+        except Exception as exc:
+            seen.append((head, exc))
+            raise
+        seen.append((head, None))
+        return spec
+
+    traces._form_superblock = spy
+    try:
+        yield seen
+    finally:
+        traces._form_superblock = form
+    assert not [exc for _, exc in seen if exc is not None], seen
+
+
+@pytest.fixture
+def formations():
+    """Every superblock formation in the test (see
+    :func:`watched_formations`)."""
+    with watched_formations() as seen:
+        yield seen
+
+
+def layouts(executable, analysis=None):
+    """The superblock layouts under test: none (BTFN), the program's
+    Ball–Larus prediction, and that prediction inverted."""
+    predicted = ball_larus(executable, analysis)
+    return {"btfn": None, "ball-larus": predicted,
+            "inverted": {addr: not taken
+                         for addr, taken in predicted.items()}}
+
+
 def run_tier(executable, tier, inputs=None, sink=None, **kw):
     """One instrumented run; returns (status, machine, profile, trace)."""
     profile, trace = EdgeProfile(), BranchTrace()
@@ -113,8 +174,10 @@ def assert_tiers_agree(executable, inputs=None, **kw):
 class TestTierDifferential:
     @pytest.mark.parametrize("name,source",
                              MODE_PROGRAMS, ids=[n for n, _ in MODE_PROGRAMS])
-    def test_superblock_modes_agree(self, name, source):
-        assert_tiers_agree(compile_and_link(source))
+    def test_superblock_modes_agree(self, name, source, formations):
+        exe = compile_and_link(source)
+        for layout in layouts(exe).values():
+            assert_tiers_agree(exe, layout=layout)
 
     def test_unoptimized_code_agrees(self):
         assert_tiers_agree(compile_and_link(DIAMOND, optimize=False))
@@ -132,11 +195,13 @@ class TestTierDifferential:
         assert_tiers_agree(exe, inputs=[60] + list(range(60)))
 
     @pytest.mark.parametrize("bench_name", ["queens", "fields", "gauss"])
-    def test_mini_suite_agrees(self, bench_name):
+    def test_mini_suite_agrees(self, bench_name, formations):
         from repro.bench.suite import get
         bench = get(bench_name)
-        assert_tiers_agree(bench.compile(),
-                           inputs=bench.dataset("small").inputs)
+        exe = bench.compile()
+        for layout in layouts(exe).values():
+            assert_tiers_agree(exe, inputs=bench.dataset("small").inputs,
+                               layout=layout)
 
     def test_per_event_observer_subclass_sees_expanded_events(self):
         """An Observer subclass overriding only on_branch (e.g. the
@@ -164,12 +229,15 @@ class TestTierDifferential:
         assert rates["tier1"] == rates["tier0"]
 
     @pytest.mark.tier2
-    def test_full_suite_agrees(self):
-        """All suite benchmarks, reference datasets: the golden identity."""
+    def test_full_suite_agrees(self, formations):
+        """All suite benchmarks, reference datasets, under the report's
+        Ball–Larus layout: the golden identity."""
         from repro.bench.suite import suite
         for bench in suite():
-            status = assert_tiers_agree(bench.compile(),
-                                        inputs=bench.default_dataset.inputs)
+            exe = bench.compile()
+            status = assert_tiers_agree(exe,
+                                        inputs=bench.default_dataset.inputs,
+                                        layout=ball_larus(exe))
             assert status.instr_count > 0, bench.name
 
 
@@ -227,6 +295,35 @@ class TestTier1Internals:
         assert s2.output == s1.output
         assert s2.instr_count == s1.instr_count
         assert m2.regs == m1.regs
+
+    def test_block_specs_keyed_by_layout_content(self, formations):
+        """Specs formed under one layout are never bound under another:
+        after a BTFN machine, a Ball–Larus machine on the same executable
+        forms its own blocks and side-exits exactly as on a fresh
+        executable; an equal map that is a distinct object re-binds them.
+        """
+        from repro.bench.suite import get
+        bench = get("queens")
+        inputs = bench.dataset("small").inputs
+
+        def side_exits(exe, layout):
+            sink = telemetry.Telemetry()
+            run_tier(exe, "tier1", inputs, sink=sink, layout=layout)
+            return sink.counters()["sim.tier1.side_exits"]
+
+        fresh = bench.compile()
+        layout = ball_larus(fresh)
+        expected = side_exits(fresh, layout)
+        exe = bench.compile()
+        assert side_exits(exe, None) > expected
+        formations.clear()
+        assert side_exits(exe, layout) == expected
+        assert formations, "the Ball–Larus machine bound BTFN specs"
+        formed = dict(_specs_for(exe, layout))
+        formations.clear()
+        assert side_exits(exe, dict(layout)) == expected
+        assert not formations, "an equal map formed its specs again"
+        assert _specs_for(exe, dict(layout)) == formed
 
 
 # -- engine selection seams and fingerprints ----------------------------------
@@ -336,12 +433,15 @@ def crash_fields(executable, tier, inputs=None, **kw):
 
 
 class TestFaultByteIdentity:
-    def test_fuel_exhaustion_reports_identical(self):
+    def test_fuel_exhaustion_reports_identical(self, formations):
         exe = compile_and_link(HOT_LOOP)
-        assert crash_fields(exe, "tier0", max_instructions=1000) == \
-            crash_fields(exe, "tier1", max_instructions=1000)
+        for kind, layout in layouts(exe).items():
+            assert crash_fields(exe, "tier0", max_instructions=1000,
+                                layout=layout) == \
+                crash_fields(exe, "tier1", max_instructions=1000,
+                             layout=layout), kind
 
-    def test_input_starvation_reports_identical(self):
+    def test_input_starvation_reports_identical(self, formations):
         exe = compile_and_link("""
         int main() {
             int i, s = 0;
@@ -351,10 +451,12 @@ class TestFaultByteIdentity:
         }
         """)
         inputs = list(range(90))  # starves after the loop is hot
-        assert crash_fields(exe, "tier0", inputs=inputs) == \
-            crash_fields(exe, "tier1", inputs=inputs)
+        for kind, layout in layouts(exe).items():
+            assert crash_fields(exe, "tier0", inputs=inputs,
+                                layout=layout) == \
+                crash_fields(exe, "tier1", inputs=inputs, layout=layout), kind
 
-    def test_memory_budget_reports_identical(self):
+    def test_memory_budget_reports_identical(self, formations):
         exe = compile_and_link("""
         int deep(int n) {
             int pad[200];
@@ -365,14 +467,21 @@ class TestFaultByteIdentity:
         int main() { print_int(deep(100000)); return 0; }
         """)
         budget = 24 * 4096
-        assert crash_fields(exe, "tier0", max_memory_bytes=budget) == \
-            crash_fields(exe, "tier1", max_memory_bytes=budget)
+        for kind, layout in layouts(exe).items():
+            assert crash_fields(exe, "tier0", max_memory_bytes=budget,
+                                layout=layout) == \
+                crash_fields(exe, "tier1", max_memory_bytes=budget,
+                             layout=layout), kind
 
     @pytest.mark.parametrize("fault", ["opcode", "branch-target"])
-    def test_corrupted_artifact_reports_identical(self, fault, mini_runner):
+    def test_corrupted_artifact_reports_identical(self, fault, mini_runner,
+                                                  formations):
         from repro.testing.chaos import corrupt_branch_targets, corrupt_opcode
         corrupt = {"opcode": corrupt_opcode,
                    "branch-target": corrupt_branch_targets}[fault]
-        executable, _ = mini_runner.compiled("queens")
+        executable, analysis = mini_runner.compiled("queens")
         bad = corrupt(executable)
-        assert crash_fields(bad, "tier0") == crash_fields(bad, "tier1")
+        # the pristine artifact's analysis, as a sabotaged run has
+        for kind, layout in layouts(executable, analysis).items():
+            assert crash_fields(bad, "tier0", layout=layout) == \
+                crash_fields(bad, "tier1", layout=layout), kind
