@@ -317,13 +317,20 @@ def _subset_sweep(matrix: np.ndarray, orders: list[tuple[str, ...]],
     wins = np.zeros(len(candidates), dtype=np.int64)
     first_win = np.full(len(candidates), n_trials, dtype=np.int64)
     chunk = max(1, _SWEEP_CELLS // len(candidates))
+    # one mask and one score buffer serve every chunk (a fresh 8 MB score
+    # array per chunk churns the heap), and every product has at least two
+    # rows: numpy sends a one-row product to gemv, which sums in another
+    # order than the gemm of every other chunk
+    rows = max(2, min(chunk, n_trials))
+    mask = np.empty((rows, n), dtype=np.float32)
+    scores = np.empty((rows, len(candidates)), dtype=np.float32)
     for start in range(0, n_trials, chunk):
         index = subsets[start:start + chunk]
-        # at least two rows: numpy sends a one-row product to gemv, which
-        # sums in another order than the gemm of every other chunk
-        mask = np.zeros((max(2, len(index)), n), dtype=np.float32)
+        used = max(2, len(index))
+        mask[:used] = 0.0
         np.put_along_axis(mask[:len(index)], index, 1.0, axis=1)
-        winners = (mask @ columns)[:len(index)].argmin(axis=1)
+        np.matmul(mask[:used], columns, out=scores[:used])
+        winners = scores[:len(index)].argmin(axis=1)
         wins += np.bincount(winners, minlength=len(candidates))
         won, at = np.unique(winners, return_index=True)
         first_win[won] = np.minimum(first_win[won], start + at)

@@ -19,13 +19,9 @@ Hierarchy::
     │   ├── SimulationTimeout       # wall-clock watchdog deadline passed
     │   ├── InputExhausted          # a read syscall starved
     │   └── MemoryError_            # bad/misaligned access, page budget
-    ├── WorkerError                 # parallel harness (phase=parallel)
-    │   ├── WorkerCrashError        # shard process died without a result
-    │   └── WorkerResultError       # shard returned an unusable result
-    └── ServiceError                # prediction service (phase=service)
-        ├── JobRejectedError        # breaker open / queue full: load shed
-        ├── JobQuarantinedError     # poison job isolated after crashes
-        └── JobDeadlineError        # service deadline passed; worker killed
+    └── WorkerError                 # parallel harness (phase=parallel)
+        ├── WorkerCrashError        # shard process died without a result
+        └── WorkerResultError       # shard returned an unusable result
 
 ``CompileError`` and ``AssemblerError`` keep their historical homes
 (:mod:`repro.bcc.errors`, :mod:`repro.isa.assembler`) and subclass
@@ -50,16 +46,12 @@ __all__ = [
     "WorkerError",
     "WorkerCrashError",
     "WorkerResultError",
-    "ServiceError",
-    "JobRejectedError",
-    "JobQuarantinedError",
-    "JobDeadlineError",
     "PHASES",
 ]
 
 #: Pipeline phases a failure can be attributed to.
 PHASES = ("compile", "verify", "assemble", "link", "analyze", "simulate",
-          "parallel", "service", "report")
+          "parallel", "report")
 
 #: Structured context slots every ReproError carries.
 CONTEXT_FIELDS = ("benchmark", "dataset", "phase", "pc", "instr_count")
@@ -96,10 +88,6 @@ class CrashReport:
     #: last N conditional-branch outcomes, oldest first: (address, taken)
     branch_history: list[tuple[int, bool]] = field(default_factory=list)
     output_tail: str = ""                     #: tail of program output at fault
-    #: flight-recorder dump at fault time: the last-N structured events
-    #: (state transitions, retries, redispatches...) as plain dicts — the
-    #: process's black box, not just the simulated machine's
-    flight: list[dict] = field(default_factory=list)
 
     def format(self) -> str:
         """Multi-line human-readable rendering."""
@@ -121,14 +109,6 @@ class CrashReport:
             lines.append(f"  registers: {regs or '(all zero)'}")
         if self.output_tail:
             lines.append(f"  output tail: {self.output_tail!r}")
-        if self.flight:
-            lines.append(f"  flight recorder (last {len(self.flight)} "
-                         f"events, oldest first):")
-            for event in self.flight[-8:]:
-                fields = " ".join(f"{k}={v}" for k, v in event.items()
-                                  if k not in ("seq", "ts", "kind"))
-                lines.append(f"    [{event.get('seq', '?')}] "
-                             f"{event.get('kind', '?')} {fields}".rstrip())
         return "\n".join(lines)
 
 
@@ -160,7 +140,6 @@ class ReproError(Exception):
         self.pc = pc
         self.instr_count = instr_count
         self.crash_report: CrashReport | None = None
-        self.flight: list[dict] | None = None
 
     # -- classification --------------------------------------------------------
 
@@ -190,29 +169,7 @@ class ReproError(Exception):
             self.with_context(pc=report.pc, instr_count=report.instr_count)
         return self
 
-    def attach_flight(self, events: list[dict],
-                      limit: int = 32) -> "ReproError":
-        """Attach a flight-recorder dump (first one wins, trimmed to the
-        last *limit* events so wire/pickle size stays bounded).  Plain
-        dicts only — the error pickles across process boundaries."""
-        if self.flight is None and events:
-            self.flight = [dict(e) for e in events[-limit:]]
-        return self
-
     # -- rendering -------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Machine-classifiable summary (no crash-report payload; the
-        flight-recorder dump rides along when one was attached)."""
-        out = {"code": self.code, "message": self.message}
-        for key in CONTEXT_FIELDS:
-            value = getattr(self, key, None)
-            if value is not None:
-                out[key] = value
-        flight = getattr(self, "flight", None)
-        if flight:
-            out["flight"] = flight
-        return out
 
     def oneline(self) -> str:
         """One-line structured rendering for CLI stderr output."""
@@ -283,34 +240,3 @@ class WorkerCrashError(WorkerError):
 class WorkerResultError(WorkerError):
     """A shard returned a result the parent could not decode or that
     failed validation (pickling error, schema drift between versions)."""
-
-
-# -- prediction-service errors ------------------------------------------------
-
-
-class ServiceError(ReproError):
-    """The prediction service could not execute a job.
-
-    These describe the *service's* decision about a job (shed, isolate,
-    abandon) rather than a pipeline failure inside it — every one is a
-    deliberate, typed degraded response, never a hang.
-    """
-
-    phase = "service"
-
-
-class JobRejectedError(ServiceError):
-    """The service shed this job instead of queueing it: the circuit
-    breaker is open, or the bounded queue is full.  Resubmit later."""
-
-
-class JobQuarantinedError(ServiceError):
-    """The job was classified as poison: it crashed its worker process
-    on enough consecutive attempts that the supervisor refuses to feed
-    it more workers."""
-
-
-class JobDeadlineError(ServiceError):
-    """The job exceeded its service-level deadline; the worker running
-    it was killed and respawned (distinct from the simulator's own
-    :class:`SimulationTimeout`, which fires inside a healthy worker)."""

@@ -62,7 +62,6 @@ from pathlib import Path
 from typing import Any
 
 from repro import telemetry as _telemetry
-from repro.telemetry import flight as _flight
 from repro._version import __version__
 
 __all__ = ["ArtifactCache", "CACHE_SCHEMA", "compile_key", "run_key",
@@ -344,7 +343,6 @@ class ArtifactCache:
         if removed:
             _telemetry.get().counter(
                 "harness.artifact_cache.tmp_swept").inc(removed)
-            _flight.record("cache.sweep", tmp=removed)
         return removed
 
     def clear(self) -> int:

@@ -5,24 +5,21 @@ benchmark (or adopt a pre-seeded artifact), consult the run cache,
 simulate under the shared :class:`~repro.harness.retry.RetryPolicy` and
 store, and on request run the Graphs 4-11 :func:`sequence_pass`.  It never
 raises for pipeline failures; they come back as a classified
-:class:`ShardResult`.  Three callers share it:
+:class:`ShardResult`.  Two callers share it:
 
 * the serial :class:`~repro.harness.runner.SuiteRunner` calls it inline
   with its own cache and compiled artifact;
 * :class:`ParallelEngine` maps :func:`run_shard` over a fork-based
   :class:`concurrent.futures.ProcessPoolExecutor` (Ball & Larus's
   methodology is embarrassingly parallel: every (benchmark, dataset) edge
-  profile is independent of every other);
-* the prediction service (:mod:`repro.service`) submits the same
-  :func:`run_shard` to its supervised worker slots.
+  profile is independent of every other).
 
 :func:`run_shard` adds only what a worker needs around the core: the
-chaos seams, a private telemetry sink whose snapshot the parent merges,
-the job's distributed trace, and the traffic of the cache it built from
-``job.cache_dir``.  Each :class:`ShardJob` is a fully self-describing,
-picklable work order (effective inputs/limits after chaos overrides,
-optimization level, cache directory, optionally a pre-seeded or sabotaged
-executable).
+crash seam, a private telemetry sink whose snapshot the parent merges,
+and the traffic of the cache it built from ``job.cache_dir``.  Each
+:class:`ShardJob` is a fully self-describing, picklable work order
+(effective inputs/limits after chaos overrides, optimization level, cache
+directory, optionally a pre-seeded or sabotaged executable).
 
 The engine collects results **in submission order** regardless of
 completion order, so downstream table/graph output is byte-identical to a
@@ -46,12 +43,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from time import perf_counter, sleep
+from time import perf_counter
 
 from repro import telemetry as _telemetry
-from repro._version import __version__
-from repro.telemetry import flight as _flight
-from repro.telemetry import tracing as _tracing
 from repro.bench.suite import Benchmark, get
 from repro.core.classify import ProgramAnalysis, classify_branches
 from repro.core.predictors import HeuristicPredictor
@@ -73,30 +67,10 @@ from repro.telemetry.core import Telemetry, TelemetrySnapshot
 __all__ = [
     "ShardJob", "ShardResult", "ParallelEngine", "execute", "run_shard",
     "compile_artifact", "sequence_pass", "CHAOS_WORKER_CRASH_ENV",
-    "CHAOS_SLOW_WORKER_ENV",
 ]
 
 #: environment variable naming a benchmark whose shard worker must die
 CHAOS_WORKER_CRASH_ENV = "REPRO_CHAOS_WORKER_CRASH"
-
-#: ``<benchmark>:<seconds>`` (or ``*:<seconds>`` for every benchmark):
-#: the matching shard worker sleeps before executing, simulating a
-#: wedged / overloaded worker for deadline and supervision tests
-CHAOS_SLOW_WORKER_ENV = "REPRO_CHAOS_SLOW_WORKER"
-
-
-def _chaos_slow_delay(benchmark: str) -> float:
-    """Injected pre-execution delay for *benchmark* (0 when none)."""
-    spec = os.environ.get(CHAOS_SLOW_WORKER_ENV, "")
-    if not spec:
-        return 0.0
-    target, _, seconds = spec.partition(":")
-    if target not in ("*", benchmark):
-        return 0.0
-    try:
-        return max(0.0, float(seconds))
-    except ValueError:
-        return 0.0
 
 
 # --------------------------------------------------------------------------
@@ -130,12 +104,6 @@ class ShardJob:
     #: True when *preseeded* is a sabotaged artifact: bypass the cache
     #: entirely (its content does not correspond to the source key)
     poisoned: bool = False
-    #: distributed-trace identity: non-empty when this shard is one hop
-    #: of a service job's trace — the worker activates the context so
-    #: its spans (and its telemetry snapshot's span args) join the trace
-    trace_id: str = ""
-    #: span id of the engine-side exec span this shard parents under
-    trace_parent: str = ""
     #: also run the Graphs 4-11 :func:`sequence_pass` over the profile
     sequences: bool = False
 
@@ -143,8 +111,7 @@ class ShardJob:
 @dataclass
 class ShardResult:
     """What :func:`execute` returns: a run, or a classified failure
-    (:func:`run_shard` adds the worker's cache traffic, telemetry and
-    trace)."""
+    (:func:`run_shard` adds the worker's cache traffic and telemetry)."""
 
     benchmark: str
     dataset: str
@@ -158,9 +125,6 @@ class ShardResult:
     retried: bool = False
     telemetry: TelemetrySnapshot | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
-    #: wall-clock trace spans recorded inside the worker (compile,
-    #: cache lookup, simulate) when the job carried a trace_id
-    trace: list = field(default_factory=list)
     #: the sequence analyzers when the job asked for them and the pass
     #: succeeded (a failed pass is left for the parent to re-run)
     sequences: dict[str, SequenceAnalyzer] | None = None
@@ -219,18 +183,13 @@ def compile_artifact(benchmark: Benchmark, optimize: bool = True,
     return executable, analysis
 
 
-def _job_compile_key(job: ShardJob, version: str = __version__) -> str:
-    """The persistent compile key of *job*'s benchmark."""
-    return compile_key(job.benchmark, get(job.benchmark).source(),
-                       job.optimize, version=version)
-
-
-def _job_run_key(job: ShardJob, version: str = __version__) -> str:
+def _job_run_key(job: ShardJob, version: str) -> str:
     """The persistent run key of *job*'s (benchmark, dataset) execution."""
-    return run_key(_job_compile_key(job, version), job.dataset, job.inputs,
-                   job.fuel_budget, job.max_memory_bytes,
-                   job.retry_fuel_factor, version=version,
-                   engine=resolve_engine_name(job.engine))
+    ckey = compile_key(job.benchmark, get(job.benchmark).source(),
+                       job.optimize, version=version)
+    return run_key(ckey, job.dataset, job.inputs, job.fuel_budget,
+                   job.max_memory_bytes, job.retry_fuel_factor,
+                   version=version, engine=resolve_engine_name(job.engine))
 
 
 def sequence_pass(job: ShardJob, executable: Executable,
@@ -286,39 +245,15 @@ def _cacheable_failure(error: ReproError) -> bool:
 
 def _failure(job: ShardJob, error: ReproError,
              retried: bool = False) -> ShardResult:
-    # every failure ships the process's black box (no-op if a deeper
-    # layer — e.g. the simulator's crash snapshot — already did)
-    error.attach_flight(_flight.dump())
     return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
                        status=classify_failure(error), error=error,
                        retried=retried)
 
 
-def _compile_step(job: ShardJob, cache: ArtifactCache | None
-                  ) -> ShardResult:
-    """:func:`execute`'s first step, and all of a service compile order:
-    adopt the pre-seeded (or sabotaged) artifact or compile the
-    benchmark.  An OK result carries the (executable, analysis) pair."""
-    try:
-        with _tracing.span("worker.compile", "worker",
-                           benchmark=job.benchmark):
-            executable, analysis = job.preseeded or compile_artifact(
-                get(job.benchmark), optimize=job.optimize, cache=cache)
-    except ReproError as exc:
-        return _failure(job, exc)
-    except Exception as exc:  # unknown benchmark, etc.
-        return _failure(job, ReproError(
-            f"shard setup failed: {type(exc).__name__}: {exc}",
-            benchmark=job.benchmark, dataset=job.dataset, phase="compile"))
-    return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
-                       status=RunStatus.OK, executable=executable,
-                       analysis=analysis)
-
-
 def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
     """Execute one (benchmark, dataset) run: the one definition of a
-    suite run, whether the serial runner calls it inline, a pool worker
-    runs it (:func:`run_shard`), or the service submits it.
+    suite run, whether the serial runner calls it inline or a pool worker
+    runs it (:func:`run_shard`).
 
     Compiles the benchmark (or adopts ``job.preseeded``), consults the
     run cache, simulates under :class:`~repro.harness.retry.RetryPolicy`
@@ -328,25 +263,26 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
     deterministic ones are negative-cached).  The caller owns *cache*,
     its ``cache_stats`` and the ``run:`` span.
     """
-    compiled = _compile_step(job, cache)
-    if not compiled.ok:
-        return compiled
-    executable, analysis = compiled.executable, compiled.analysis
+    try:
+        executable, analysis = job.preseeded or compile_artifact(
+            get(job.benchmark), optimize=job.optimize, cache=cache)
+    except ReproError as exc:
+        return _failure(job, exc)
+    except Exception as exc:  # unknown benchmark, etc.
+        return _failure(job, ReproError(
+            f"shard setup failed: {type(exc).__name__}: {exc}",
+            benchmark=job.benchmark, dataset=job.dataset, phase="compile"))
     tm = _telemetry.get()
 
     # -- consult the run cache -----------------------------------------------
     rkey = entry = None
     if cache is not None:
         rkey = _job_run_key(job, cache.version)
-        with _tracing.span("cache.get", "cache",
-                           benchmark=job.benchmark, dataset=job.dataset):
-            entry = cache.get(rkey, "run")
+        entry = cache.get(rkey, "run")
     if entry is not None:
         if not entry.get("ok"):
-            return ShardResult(
-                benchmark=job.benchmark, dataset=job.dataset,
-                status=classify_failure(entry["error"]),
-                error=entry["error"], retried=entry.get("retried", False))
+            return _failure(job, entry["error"],
+                            retried=entry.get("retried", False))
         profile, output = entry["profile"], entry["output"]
         instr_count = entry["instr_count"]
         retried = entry.get("retried", False)
@@ -362,11 +298,8 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
             try:
                 # construction can fault too (e.g. the data image exceeds
                 # an injected memory budget), so it sits inside the try
-                with _tracing.span("worker.simulate", "worker",
-                                   benchmark=job.benchmark,
-                                   dataset=job.dataset, attempt=attempt), \
-                        tm.span("simulate", category="harness",
-                                benchmark=job.benchmark, dataset=job.dataset):
+                with tm.span("simulate", category="harness",
+                             benchmark=job.benchmark, dataset=job.dataset):
                     status = Machine(
                         executable, inputs=list(job.inputs),
                         observers=[profile],
@@ -387,9 +320,6 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
                     return failure
                 attempt += 1
                 tm.counter("harness.retries").inc()
-                _flight.record("shard.retry", benchmark=job.benchmark,
-                               dataset=job.dataset, attempt=attempt,
-                               error=exc.code)
         output, instr_count = status.output, status.instr_count
         retried = attempt > 1
         if rkey is not None:
@@ -413,39 +343,25 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
         retried=retried, sequences=analyzers)
 
 
-def run_shard(job: ShardJob, compile_only: bool = False) -> ShardResult:
-    """Pool and service worker entry: :func:`execute` one shard (or, with
-    *compile_only*, just its compile step) inside a private telemetry
-    sink, under the job's distributed trace, over a cache built from
-    ``job.cache_dir``; the result carries the cache's traffic and the
-    sink's snapshot."""
+def run_shard(job: ShardJob) -> ShardResult:
+    """Pool worker entry: :func:`execute` one shard inside a private
+    telemetry sink, over a cache built from ``job.cache_dir``; the result
+    carries the cache's traffic and the sink's snapshot."""
     if os.environ.get(CHAOS_WORKER_CRASH_ENV) == job.benchmark:
         # chaos seam: simulate a hard worker death (no cleanup, no result)
         os._exit(17)
-    delay = _chaos_slow_delay(job.benchmark)
-    if delay > 0:
-        sleep(delay)
-    # Re-join the distributed trace on this side of the fork: spans the
-    # worker records (and the trace_id tags on its telemetry snapshot's
-    # spans) parent under the engine-side exec span named by the job.
-    ctx = None
-    if job.trace_id:
-        ctx = _tracing.TraceContext(trace_id=job.trace_id,
-                                    span_id=job.trace_parent)
     sink = Telemetry(enabled=job.collect_telemetry)
-    with _telemetry.use(sink), \
-            _tracing.activate(ctx, process=f"worker:{os.getpid()}") as spans:
+    with _telemetry.use(sink):
         cache = (ArtifactCache(job.cache_dir)
                  if job.cache_dir and not job.poisoned else None)
         with sink.span(f"run:{job.benchmark}/{job.dataset}",
                        category="harness", benchmark=job.benchmark,
                        dataset=job.dataset, shard=True):
-            result = (_compile_step if compile_only else execute)(job, cache)
+            result = execute(job, cache)
     if cache is not None:
         result.cache_stats = cache.stats()
     if job.collect_telemetry:
         result.telemetry = sink.snapshot()
-    result.trace = spans
     return result
 
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from repro import telemetry as _telemetry
-from repro.telemetry import flight as _flight
 from repro.errors import (
     CallFrame, CrashReport, InputExhausted, MemoryError_, ReproError,
     SimulationError, SimulationLimitExceeded, SimulationTimeout,
@@ -405,11 +404,7 @@ class Machine:
             pc=addr, instruction=text, instr_count=self.instr_count,
             registers=list(self.regs), fp_registers=list(self.fregs),
             call_stack=frames, branch_history=list(self._branch_history),
-            output_tail=self.output[-200:],
-            # the process's black box rides along with the machine's: the
-            # last-N flight-recorder events (retries, redispatches, state
-            # transitions) leading up to this fault
-            flight=_flight.dump()[-32:])
+            output_tail=self.output[-200:])
 
     def _proc_name(self, addr: int) -> str:
         """Resolve a text address to its procedure name (best effort)."""

@@ -1334,9 +1334,9 @@ class TraceCache:
 
     Formation and bytecode compilation go through the per-executable
     :class:`BlockSpec` cache, so a fresh machine over an already-traced
-    executable (the common pipeline shape: one profiling pass, then one
-    sequence pass; or many service jobs) pays only a cheap re-bind per
-    block instead of recompiling."""
+    executable (the common pipeline shape: one profiling pass per
+    dataset, then one sequence pass) pays only a cheap re-bind per block
+    instead of recompiling."""
 
     def __init__(self, machine):
         self.machine = machine

@@ -16,13 +16,6 @@ Layout
     Chrome trace-event JSON, JSONL event log, Prometheus text
     exposition, human summary, and the machine-readable summary used for
     baselines; :func:`write_report` emits all of them plus a manifest.
-:mod:`repro.telemetry.tracing`
-    Distributed tracing: W3C-style :class:`TraceContext` minted at HTTP
-    ingress, picklable wall-clock :class:`TraceSpan` records collected
-    across the fork boundary, per-job timelines (``/jobs/<id>/trace``).
-:mod:`repro.telemetry.flight`
-    Always-on lock-free flight recorder: a bounded ring of recent
-    structured events dumped into crash reports and quarantine records.
 :mod:`repro.telemetry.manifest`
     Run provenance (git sha, interpreter, platform, seed, config hash).
 :mod:`repro.telemetry.bench`
@@ -47,8 +40,6 @@ from repro.telemetry.export import (
     BENCH_SCHEMA, REPORT_FILES, slo_summary, summary_dict, summary_table,
     to_chrome_trace, to_jsonl, to_prometheus, write_report,
 )
-from repro.telemetry.flight import FlightEvent, FlightRecorder
-from repro.telemetry.tracing import TraceContext, TraceSpan, parse_traceparent
 from repro.telemetry.logging_setup import (
     add_logging_args, configure_from_args, get_logger, setup_logging,
 )
@@ -57,8 +48,6 @@ from repro.telemetry.manifest import config_hash, run_manifest
 __all__ = [
     "Counter", "Gauge", "Histogram", "HistogramState", "LabeledCounter",
     "SpanRecord", "Telemetry", "TelemetrySnapshot", "get", "install", "use",
-    "TraceContext", "TraceSpan", "parse_traceparent",
-    "FlightRecorder", "FlightEvent",
     "to_chrome_trace", "to_jsonl", "to_prometheus", "summary_table",
     "summary_dict", "slo_summary", "write_report", "REPORT_FILES",
     "BENCH_SCHEMA",

@@ -22,12 +22,6 @@ Subcommands:
     the pipeline across worker processes (their telemetry snapshots are
     merged into the summary); ``--cache DIR`` reuses the persistent
     artifact cache.
-
-``trace SOURCE``
-    Flame-style rendering of one distributed-trace timeline.  SOURCE is
-    either a file holding a ``/jobs/<id>/trace`` JSON body or the
-    endpoint URL itself (``http://host:port/jobs/<id>/trace`` — fetched
-    with the stdlib, no client dependency).
 """
 
 from __future__ import annotations
@@ -92,67 +86,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                   f"p99={h.get('p99', 0.0):.4g}")
     # derived SLO rates: stored by new summaries, recomputed for old ones
     from repro.telemetry.export import slo_summary
-    slo = payload.get("slo") or slo_summary(payload.get("counters", {}),
-                                            payload.get("gauges", {}))
+    slo = payload.get("slo") or slo_summary(payload.get("counters", {}))
     if any(slo.values()):
         print("slo:")
         for name, value in sorted(slo.items()):
             print(f"  {name:<44} {value:>16.6f}")
     print(f"span depth: {payload.get('max_span_depth', '?')}, "
           f"recorded: {payload.get('spans_recorded', '?')}")
-    return EXIT_OK
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    source = args.source
-    try:
-        if source.startswith(("http://", "https://")):
-            from urllib.request import urlopen
-            with urlopen(source, timeout=10) as resp:
-                payload = json.loads(resp.read().decode())
-        else:
-            payload = json.loads(Path(source).read_text())
-    except Exception as exc:
-        print(f"error[unreadable-trace]: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_MALFORMED
-    trace_id = payload.get("trace_id")
-    spans = payload.get("spans") or []
-    if not trace_id or not spans:
-        print("error[unreadable-trace]: no spans (untraced job?)",
-              file=sys.stderr)
-        return EXIT_MALFORMED
-    print(f"trace {trace_id}  job={payload.get('job', '?')} "
-          f"state={payload.get('state', '?')} "
-          f"tiers={','.join(payload.get('tiers', []))}")
-    seg = payload.get("segments", {})
-    if seg:
-        parts = " ".join(f"{k}={v:.3f}s" for k, v in seg.items()
-                         if k not in ("accounted_s", "total_s") and v)
-        print(f"segments: {parts}  (accounted "
-              f"{seg.get('accounted_s', 0.0):.3f}s / total "
-              f"{seg.get('total_s', 0.0):.3f}s)")
-    # flame rows: offset-aligned bars on a shared wall-clock baseline
-    t0 = min(s["start_s"] for s in spans)
-    horizon = max(s["start_s"] + s["duration_s"] for s in spans) - t0
-    width = 32
-    for s in spans:
-        off = s["start_s"] - t0
-        dur = s["duration_s"]
-        lead = int(off / horizon * width) if horizon > 0 else 0
-        fill = max(1, int(dur / horizon * width)) if horizon > 0 else width
-        bar = " " * lead + "█" * min(fill, width - lead)
-        print(f"  {off:>8.3f}s {dur:>8.3f}s  {bar:<{width}}  "
-              f"[{s.get('tier', '?'):<7}] {s['name']} "
-              f"({s.get('process', '')})")
-    # rollup: where did the time go, per tier
-    by_tier: dict[str, float] = {}
-    for s in spans:
-        by_tier[s.get("tier", "?")] = (by_tier.get(s.get("tier", "?"), 0.0)
-                                       + s["duration_s"])
-    print("by tier: " + "  ".join(
-        f"{tier}={total:.3f}s" for tier, total in
-        sorted(by_tier.items(), key=lambda kv: -kv[1])))
     return EXIT_OK
 
 
@@ -246,12 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     p_rec.add_argument("--hot-pc", type=int, default=None, metavar="N",
                        help="sample the simulated pc every N instructions")
     p_rec.set_defaults(func=_cmd_record)
-
-    p_trace = sub.add_parser(
-        "trace", help="flame-style rendering of one distributed trace")
-    p_trace.add_argument("source",
-                         help="trace JSON file or /jobs/<id>/trace URL")
-    p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
     configure_from_args(args)

@@ -35,7 +35,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.telemetry import tracing
 
 __all__ = [
     "Counter",
@@ -459,13 +458,6 @@ class Telemetry:
         finally:
             end = perf_counter()
             stack.pop()
-            # Tag spans recorded under an active distributed-trace context
-            # with its trace_id: merge_snapshot copies span args verbatim,
-            # so the tag survives the worker→parent snapshot merge and the
-            # trace can be re-stitched across process boundaries.
-            ctx = tracing.current()
-            if ctx is not None:
-                args = {**args, "trace_id": ctx.trace_id}
             record = SpanRecord(
                 name=name, category=category,
                 start_us=int((start - self.epoch) * 1e6),

@@ -82,30 +82,6 @@ def to_chrome_trace(telemetry: Telemetry,
             "tid": tid,
             "args": args,
         })
-    # Cross-process flow events: spans tagged with the same distributed
-    # trace_id (see repro.telemetry.tracing) get a Perfetto flow arrow
-    # connecting them in causal (start-time) order, so one service job's
-    # chain — ingress → queue → worker → cache — reads as one line even
-    # though its spans were recorded by different processes/threads.
-    flows: dict[str, list] = {}
-    for span in telemetry.spans:
-        trace_id = span.args.get("trace_id")
-        if trace_id:
-            flows.setdefault(str(trace_id), []).append(span)
-    for trace_id, chain in sorted(flows.items()):
-        if len(chain) < 2:
-            continue
-        chain.sort(key=lambda s: (s.start_us, s.span_id))
-        for i, span in enumerate(chain):
-            ph = "s" if i == 0 else ("f" if i == len(chain) - 1 else "t")
-            event = {
-                "name": f"trace:{trace_id[:8]}", "cat": "trace", "ph": ph,
-                "id": trace_id, "ts": span.start_us, "pid": 1,
-                "tid": threads.setdefault(span.thread_id, len(threads) + 1),
-            }
-            if ph == "f":
-                event["bp"] = "e"
-            events.append(event)
     counters = telemetry.counters()
     if counters:
         last_us = max((s.start_us + s.duration_us for s in telemetry.spans),
@@ -243,24 +219,15 @@ def summary_table(telemetry: Telemetry, top_pcs: int = 10) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def slo_summary(counters: dict[str, int],
-                gauges: dict[str, float]) -> dict[str, float]:
-    """Derived service-level indicators from raw counters/gauges.
+def slo_summary(counters: dict[str, int]) -> dict[str, float]:
+    """Derived rates from raw counters.
 
     Pure arithmetic over already-exported names, so it works identically
-    on a live sink (``/stats``), a recorded ``telemetry.json``, or the
-    committed baseline; missing counters read as 0 and empty
-    denominators yield a rate of 0.0 rather than an error.
+    on a live sink, a recorded ``telemetry.json``, or the committed
+    baseline; missing counters read as 0 and empty denominators yield a
+    rate of 0.0 rather than an error.
 
-    * ``cache_hit_rate`` — artifact-cache hits / (hits + misses); the
-      PR-6 "warm-cache hit-rate SLO" follow-on.
-    * ``job_error_rate`` — failed+quarantined / jobs that ran to a
-      terminal state (done + failed + quarantined).
-    * ``job_rejection_rate`` — shed load (queue-full + breaker) /
-      submissions.
-    * ``breaker_open_duty_cycle`` — fraction of service lifetime the
-      circuit breaker spent OPEN (``service.breaker_open_s`` /
-      ``service.uptime_s`` gauges).
+    * ``cache_hit_rate`` — artifact-cache hits / (hits + misses).
     * ``sim_trace_cache_hit_rate`` — Tier-1 superblock trace-cache hits
       / lookups (``sim.tier1.trace_cache_hits`` / ``..._misses``); low
       values mean simulation time is going to block formation, not
@@ -274,19 +241,10 @@ def slo_summary(counters: dict[str, int],
 
     hits = count("harness.artifact_cache.hit")
     misses = count("harness.artifact_cache.miss")
-    errored = count("service.jobs_failed") + count("service.jobs_quarantined")
-    completed = count("service.jobs_done") + errored
-    rejected = count("service.jobs_rejected")
-    submitted = count("service.jobs_submitted")
-    uptime = float(gauges.get("service.uptime_s", 0.0))
-    open_s = float(gauges.get("service.breaker_open_s", 0.0))
     trace_hits = count("sim.tier1.trace_cache_hits")
     trace_misses = count("sim.tier1.trace_cache_misses")
     return {
         "cache_hit_rate": rate(hits, hits + misses),
-        "job_error_rate": rate(errored, completed),
-        "job_rejection_rate": rate(rejected, submitted),
-        "breaker_open_duty_cycle": rate(open_s, uptime),
         "sim_trace_cache_hit_rate": rate(trace_hits,
                                          trace_hits + trace_misses),
     }
@@ -310,7 +268,7 @@ def summary_dict(telemetry: Telemetry, config: dict | None = None,
         "counters": counters,
         "gauges": gauges,
         "histograms": histograms,
-        "slo": slo_summary(counters, gauges),
+        "slo": slo_summary(counters),
         "spans": telemetry.span_aggregates(),
         "max_span_depth": telemetry.max_span_depth(),
         "spans_recorded": len(telemetry.spans),

@@ -27,20 +27,16 @@ import os
 from contextlib import contextmanager
 
 from repro.errors import ReproError
-from repro.harness.parallel import (
-    CHAOS_SLOW_WORKER_ENV, CHAOS_WORKER_CRASH_ENV,
-)
+from repro.harness.parallel import CHAOS_WORKER_CRASH_ENV
 from repro.harness.runner import SuiteRunner
 from repro.isa.instructions import Instruction, Kind, Opcode
 from repro.isa.program import Executable, Procedure, TEXT_BASE, WORD_SIZE
-from repro.service.breaker import CHAOS_BREAKER_TRIP_ENV
 from repro.sim.engine import FORCE_TIER0_ENV
 
 __all__ = [
     "FAULTS", "ENV_SEAMS", "chaos_env", "clone_executable",
     "corrupt_branch_targets", "corrupt_opcode", "sabotage",
-    "CHAOS_WORKER_CRASH_ENV", "CHAOS_SLOW_WORKER_ENV",
-    "CHAOS_BREAKER_TRIP_ENV", "FORCE_TIER0_ENV",
+    "CHAOS_WORKER_CRASH_ENV", "FORCE_TIER0_ENV",
 ]
 
 #: fault names accepted by :func:`sabotage` (parametrize tests over these)
@@ -49,13 +45,10 @@ FAULTS = ("compile", "opcode", "branch-target", "inputs", "fuel", "memory",
 
 #: the process-level chaos seams, by short name.  These are injected via
 #: environment variables (not runner seams) because their blast radius is
-#: a *process*: worker death, a wedged/slow worker, a circuit breaker
-#: forced open at construction, and a forced interpreter tier.  Forked
+#: a *process*: worker death and a forced interpreter tier.  Forked
 #: workers inherit them, which is exactly the point.
 ENV_SEAMS = {
     "worker-crash": CHAOS_WORKER_CRASH_ENV,    # <benchmark>
-    "slow-worker": CHAOS_SLOW_WORKER_ENV,      # <benchmark|*>:<seconds>
-    "breaker-trip": CHAOS_BREAKER_TRIP_ENV,    # any non-empty value
     "force-tier0": FORCE_TIER0_ENV,            # any non-empty value:
                                                # every Machine in the
                                                # process (and forked
@@ -68,7 +61,7 @@ def chaos_env(**seams: str | float | None):
     """Set process-level chaos seams for the duration of a block.
 
     Keyword names are :data:`ENV_SEAMS` keys with ``-`` spelled ``_``
-    (``worker_crash="queens"``, ``slow_worker="*:0.2"``); values are coerced
+    (``worker_crash="queens"``, ``force_tier0="1"``); values are coerced
     to strings, ``None`` unsets the seam.  Previous values are restored
     on exit even when the block raises — chaos must never leak between
     tests.

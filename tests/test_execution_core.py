@@ -1,8 +1,8 @@
 """One execution core: ``repro.harness.parallel.execute``.
 
-The serial runner, the ``--jobs`` pool worker and the prediction service
-all execute a (benchmark, dataset) run through the same function, so a
-run means the same thing whichever process runs it.  These tests spy on
+The serial runner and the ``--jobs`` pool worker both execute a
+(benchmark, dataset) run through the same function, so a run means the
+same thing whichever process runs it.  These tests spy on
 that function to pin who calls it and how often, check that serial
 and pooled runs count failures identically, and pin by a count that
 an uncached run lays its superblocks out along the Ball–Larus
@@ -20,8 +20,6 @@ from repro.harness import SuiteRunner
 from repro.harness import parallel
 from repro.harness.parallel import run_shard
 from repro.sim import EdgeProfile, Machine
-from repro.service.engine import JobEngine, ServiceConfig, execute_order
-from repro.service.jobs import JobKind, JobRequest
 from repro.telemetry import Telemetry
 
 
@@ -98,17 +96,6 @@ def test_run_shard_runs_the_core_once(core_calls):
     job = SuiteRunner(["queens"])._shard_job("queens", "small")
     assert run_shard(job).ok
     assert core_calls == [("queens", "small")]
-
-
-@pytest.mark.parametrize("kind, calls", [
-    (JobKind.SIMULATE, 1), (JobKind.PREDICT, 1), (JobKind.COMPILE, 0)])
-def test_service_orders_run_the_core_except_compiles(core_calls, kind, calls):
-    engine = JobEngine(ServiceConfig(workers=1, health_interval_s=0))
-    order = engine._order_for(
-        JobRequest(kind=kind, benchmark="queens", dataset="small"))
-    result = execute_order(order)
-    assert result.ok and result.analysis is not None
-    assert len(core_calls) == calls
 
 
 @pytest.mark.parametrize("strict, expected", [(True, 0), (False, 1)])

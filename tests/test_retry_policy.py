@@ -1,10 +1,9 @@
 """Unit + property tests for the unified :class:`RetryPolicy`.
 
 The policy is the single owner of the transient-failure classification
-shared by the serial runner, the parallel shard worker, and the
-prediction service — so these tests pin the exact historical semantics
-(one fuel retry at factor x fuel; wall-clock timeouts never retried)
-plus the service extensions (crash retries, exponential backoff).
+shared by the serial runner and the parallel shard worker, so these
+tests pin the exact historical semantics (one fuel retry at factor x
+fuel; wall-clock timeouts never retried).
 """
 
 from __future__ import annotations
@@ -31,17 +30,11 @@ def test_fuel_exhaustion_is_transient():
 
 def test_wall_clock_timeout_is_never_transient():
     assert not DEFAULT_RETRY_POLICY.is_transient(TIMEOUT)
-    # not even under a crash-retrying service policy
-    assert not RetryPolicy(retry_worker_crashes=True).is_transient(TIMEOUT)
-
-
-def test_worker_crash_transient_only_by_opt_in():
-    assert not DEFAULT_RETRY_POLICY.is_transient(CRASH)
-    assert RetryPolicy(retry_worker_crashes=True).is_transient(CRASH)
 
 
 def test_generic_errors_are_deterministic():
     assert not DEFAULT_RETRY_POLICY.is_transient(GENERIC)
+    assert not DEFAULT_RETRY_POLICY.is_transient(CRASH)
 
 
 # -- historical runner semantics ----------------------------------------------
@@ -87,26 +80,6 @@ def test_runner_exposes_policy_with_its_own_settings():
 def test_fuel_scale_is_geometric(attempt, factor):
     policy = RetryPolicy(fuel_factor=factor)
     assert policy.fuel_scale(attempt) == factor ** (attempt - 1)
-
-
-def test_backoff_disabled_by_default():
-    assert DEFAULT_RETRY_POLICY.backoff_s(1) == 0.0
-    assert DEFAULT_RETRY_POLICY.backoff_s(5) == 0.0
-
-
-@given(attempt=st.integers(1, 20))
-def test_backoff_is_monotone_and_capped(attempt):
-    policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                         backoff_max_s=1.5)
-    delay = policy.backoff_s(attempt)
-    assert 0.0 < delay <= 1.5
-    assert delay <= policy.backoff_s(attempt + 1) or delay == 1.5
-
-
-def test_backoff_first_step_is_base():
-    policy = RetryPolicy(backoff_base_s=0.25)
-    assert policy.backoff_s(1) == 0.25
-    assert policy.backoff_s(2) == 0.5
 
 
 # -- retry loop shape ---------------------------------------------------------

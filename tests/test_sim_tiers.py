@@ -418,18 +418,14 @@ class TestWatchdogAccounting:
 
 
 def crash_fields(executable, tier, inputs=None, **kw):
-    """Run to the fault and return the crash report as a plain dict,
-    minus the process-global flight recorder (time-dependent by design).
-    """
+    """Run to the fault and return the crash report as a plain dict."""
     machine = Machine(executable, inputs=list(inputs) if inputs else None,
                       engine=tier, **kw)
     with pytest.raises(ReproError) as excinfo:
         machine.run()
     report = excinfo.value.crash_report
     assert report is not None
-    fields = dataclasses.asdict(report)
-    fields.pop("flight", None)
-    return type(excinfo.value), fields
+    return type(excinfo.value), dataclasses.asdict(report)
 
 
 class TestFaultByteIdentity:

@@ -5,6 +5,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.telemetry import (
@@ -129,6 +130,34 @@ class TestSpans:
         # a span on another thread is a root there, not a child of ours
         assert roots[0].depth == 1
         assert roots[0].parent_id == 0
+
+
+class TestMergeSnapshot:
+    @given(n=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=20, deadline=None)
+    def test_merge_keeps_every_workers_spans_verbatim(self, n):
+        """n worker snapshots merged into a parent keep every worker's
+        spans, with their args verbatim, under the open parent span."""
+        parent = Telemetry()
+        with parent.span("parallel:pool", category="harness"):
+            for worker in range(n):
+                sink = Telemetry()
+                with sink.span(f"run:{worker}", category="harness",
+                               benchmark="queens", shard=True):
+                    with sink.span("simulate", category="harness",
+                                   worker=worker):
+                        pass
+                parent.merge_snapshot(sink.snapshot())
+        pool = next(s for s in parent.spans if s.name == "parallel:pool")
+        runs = {s.name: s for s in parent.spans if s.name.startswith("run:")}
+        assert sorted(runs) == sorted(f"run:{w}" for w in range(n))
+        for run in runs.values():
+            assert run.args == {"benchmark": "queens", "shard": True}
+            assert (run.parent_id, run.depth) == (pool.span_id, 2)
+        simulated = [s.args for s in parent.spans if s.name == "simulate"]
+        assert sorted(simulated, key=lambda args: args["worker"]) == [
+            {"worker": w} for w in range(n)]
+        assert len({s.span_id for s in parent.spans}) == 2 * n + 1
 
 
 class TestSeam:
