@@ -1,9 +1,11 @@
 """Trace-based sequence-length experiments (Section 6, Graphs 4-11).
 
-Glue between the predictors and the simulator's online
+Glue between the predictors and the simulator's
 :class:`~repro.sim.trace.SequenceAnalyzer`: build the three prediction maps
-the paper compares (Perfect, Heuristic, Loop+Rand), run the program once
-with all three analyzers attached, and return their distributions.
+the paper compares (Perfect, Heuristic, Loop+Rand) and compute their
+distributions from one recorded :class:`~repro.sim.trace.SequenceLog` —
+the profile run's own (:func:`~repro.sim.trace.sequence_analyzers`), or a
+re-simulation's when the profile run kept none (:func:`sequence_experiment`).
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ def sequence_experiment(
     max_memory_bytes: int | None = None,
     wall_clock_deadline: float | None = None,
 ) -> dict[str, SequenceAnalyzer]:
-    """Run one execution measuring the sequence-length distributions of the
-    paper's three predictors simultaneously.
+    """Re-simulate one execution, record its log, and measure the
+    sequence-length distributions of the paper's three predictors from
+    it (:func:`~repro.sim.run_with_sequences`).
 
     *profile* must come from an identical prior run (same inputs); it
     defines the perfect predictor. Returns analyzers keyed

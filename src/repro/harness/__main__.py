@@ -14,10 +14,10 @@ Options:
     --degraded       fault-isolated mode: failures render as FAILED cells
     --deadline S     per-run wall-clock watchdog (seconds, > 0)
     --jobs N         run every simulation the selected tables and graphs
-                     need (each (benchmark, dataset) run and each Graphs
-                     4-11 sequence pass) in one batch across N worker
-                     processes; compiles stay in this process (see
-                     docs/performance.md)
+                     need (each (benchmark, dataset) run, the Graphs 4-11
+                     traces riding in their profile runs) in one batch
+                     across N worker processes; compiles stay in this
+                     process (see docs/performance.md)
     --cache DIR      persistent artifact cache (defaults to
                      $REPRO_CACHE_DIR when set); --no-cache forces off
     --telemetry DIR  record spans + metrics; write a full report bundle
@@ -154,9 +154,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-run wall-clock watchdog deadline")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run every (benchmark, dataset) simulation "
-                             "and Graphs 4-11 sequence pass of the report "
-                             "in one batch across N worker processes "
-                             "(default 1: serial)")
+                             "of the report in one batch across N worker "
+                             "processes (default 1: serial)")
     parser.add_argument("--cache", default=None, metavar="DIR",
                         help="persistent content-addressed artifact cache "
                              "directory (default: $REPRO_CACHE_DIR when "
@@ -262,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     if order is not None:
         log.info("heuristic order: %s", " -> ".join(order))
     pairs, sequences = report_demand(runner.benchmark_names, tables, graphs)
+    # the Graphs 4-11 traces ride in their profile runs, serial or not
+    runner.declare_sequences(sequences)
     try:
         with scope(), telemetry.get().span(
                 "report", category="harness",
@@ -276,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
                     for name in dict.fromkeys(name for name, _ in pairs):
                         with contextlib.suppress(ReproError):
                             runner.compiled(name)
-                    runner.prefetch(pairs, with_sequences=sequences)
+                    runner.prefetch(pairs)
 
             for number in sorted(tables):
                 with tm.span(f"table{number}", category="harness"):

@@ -3,9 +3,10 @@
 :func:`execute` is the one definition of a suite run: compile the
 benchmark (or adopt a pre-seeded artifact), consult the run cache,
 simulate under the shared :class:`~repro.harness.retry.RetryPolicy` and
-store, and on request run the Graphs 4-11 :func:`sequence_pass`.  It never
-raises for pipeline failures; they come back as a classified
-:class:`ShardResult`.  Two callers share it:
+store, and on request compute the Graphs 4-11 sequence analyzers — from
+the profile run's own log when it simulated, else through
+:func:`sequence_pass`.  It never raises for pipeline failures; they come
+back as a classified :class:`ShardResult`.  Two callers share it:
 
 * the serial :class:`~repro.harness.runner.SuiteRunner` calls it inline
   with its own cache and compiled artifact;
@@ -60,13 +61,17 @@ from repro.harness.cache import (
 from repro.harness.resilience import RunStatus, classify_failure
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, SequenceAnalyzer, resolve_engine_name
+from repro.sim import (
+    Machine, SequenceAnalyzer, SequenceLog, resolve_engine_name,
+    sequence_analyzers,
+)
 from repro.sim.profile import EdgeProfile
 from repro.telemetry.core import Telemetry, TelemetrySnapshot
 
 __all__ = [
     "ShardJob", "ShardResult", "ParallelEngine", "execute", "run_shard",
-    "compile_artifact", "sequence_pass", "CHAOS_WORKER_CRASH_ENV",
+    "compile_artifact", "logged_sequences", "sequence_pass",
+    "CHAOS_WORKER_CRASH_ENV",
 ]
 
 #: environment variable naming a benchmark whose shard worker must die
@@ -104,7 +109,9 @@ class ShardJob:
     #: True when *preseeded* is a sabotaged artifact: bypass the cache
     #: entirely (its content does not correspond to the source key)
     poisoned: bool = False
-    #: also run the Graphs 4-11 :func:`sequence_pass` over the profile
+    #: also compute the Graphs 4-11 sequence analyzers: the profile run
+    #: records its log (or, served from the run cache, the result comes
+    #: from :func:`sequence_pass`)
     sequences: bool = False
 
 
@@ -125,8 +132,8 @@ class ShardResult:
     retried: bool = False
     telemetry: TelemetrySnapshot | None = None
     cache_stats: dict[str, int] = field(default_factory=dict)
-    #: the sequence analyzers when the job asked for them and the pass
-    #: succeeded (a failed pass is left for the parent to re-run)
+    #: the sequence analyzers when the job asked for them and they were
+    #: computed (a failed pass is left for the caller to re-run)
     sequences: dict[str, SequenceAnalyzer] | None = None
 
     @property
@@ -192,25 +199,47 @@ def _job_run_key(job: ShardJob, version: str) -> str:
                    version=version, engine=resolve_engine_name(job.engine))
 
 
+def _sequence_key(job: ShardJob, predictions, cache: ArtifactCache) -> str:
+    return sequence_key(_job_run_key(job, cache.version), predictions,
+                        version=cache.version)
+
+
+def logged_sequences(job: ShardJob, log: SequenceLog,
+                     analysis: ProgramAnalysis, profile: EdgeProfile,
+                     cache: ArtifactCache | None = None,
+                     ) -> dict[str, SequenceAnalyzer]:
+    """The Graphs 4-11 sequence analyzers of *job*'s profile run, from the
+    *log* that run recorded (:func:`~repro.sim.trace.sequence_analyzers`);
+    with a *cache* they are stored under the same
+    :func:`~repro.harness.cache.sequence_key` a re-simulation uses."""
+    predictions = sequence_predictions(analysis, profile)
+    analyzers = sequence_analyzers(log, predictions)
+    if cache is not None:
+        cache.put(_sequence_key(job, predictions, cache), "sequences",
+                  analyzers)
+    return analyzers
+
+
 def sequence_pass(job: ShardJob, executable: Executable,
                   analysis: ProgramAnalysis, profile: EdgeProfile,
                   cache: ArtifactCache | None = None,
                   ) -> dict[str, SequenceAnalyzer]:
-    """The Graphs 4-11 sequence analyzers of *job*'s profiled run (see
-    :func:`~repro.core.sequences.sequence_experiment`); the serial runner
-    and :func:`execute` both call this.
+    """The Graphs 4-11 sequence analyzers of a profiled run that kept no
+    log (see :func:`~repro.core.sequences.sequence_experiment`): a run
+    served from the run cache, or one whose caller declared no demand.
 
-    The run is re-simulated under the job's effective inputs, memory cap,
-    deadline and engine, with the fuel its last permitted retry would get
-    (budget x ``fuel_scale(max_attempts)``), so a run that fit its
-    profile pass fits this one.  With a *cache* the analyzers are stored
-    under :func:`~repro.harness.cache.sequence_key` and a warm rerun
-    simulates nothing.  Failures raise and are never stored.
+    With a *cache* the analyzers come from
+    :func:`~repro.harness.cache.sequence_key` when stored there, so a
+    warm rerun simulates nothing.  Otherwise the run is re-simulated
+    under the job's effective inputs, memory cap, deadline and engine,
+    with the fuel its last permitted retry would get (budget x
+    ``fuel_scale(max_attempts)``), so a run that fit its profile pass
+    fits this one, and the result is stored.  Failures raise and are
+    never stored.
     """
     if cache is not None:
-        key = sequence_key(_job_run_key(job, cache.version),
-                           sequence_predictions(analysis, profile),
-                           version=cache.version)
+        key = _sequence_key(job, sequence_predictions(analysis, profile),
+                            cache)
         analyzers = cache.get(key, "sequences")
         if analyzers is not None:
             return analyzers
@@ -257,8 +286,11 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
 
     Compiles the benchmark (or adopts ``job.preseeded``), consults the
     run cache, simulates under :class:`~repro.harness.retry.RetryPolicy`
-    and stores the result, then runs the Graphs 4-11
-    :func:`sequence_pass` when ``job.sequences`` asks for it.  Never
+    and stores the result.  When ``job.sequences`` asks for the Graphs
+    4-11 analyzers, a simulated run records its :class:`~repro.sim.
+    SequenceLog` and :func:`logged_sequences` computes them once its
+    profile is complete; a run served from the cache goes through
+    :func:`sequence_pass` instead.  Never
     raises for pipeline failures: they come back classified (and
     deterministic ones are negative-cached).  The caller owns *cache*,
     its ``cache_stats`` and the ``run:`` span.
@@ -275,7 +307,7 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
     tm = _telemetry.get()
 
     # -- consult the run cache -----------------------------------------------
-    rkey = entry = None
+    rkey = entry = log = None
     if cache is not None:
         rkey = _job_run_key(job, cache.version)
         entry = cache.get(rkey, "run")
@@ -295,6 +327,9 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
         attempt = 1
         while True:
             profile = EdgeProfile()
+            # the Graphs 4-11 trace rides in the profile run: one log,
+            # analyzed once the run's profile is complete
+            log = SequenceLog() if job.sequences else None
             try:
                 # construction can fault too (e.g. the data image exceeds
                 # an injected memory budget), so it sits inside the try
@@ -302,7 +337,8 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
                              benchmark=job.benchmark, dataset=job.dataset):
                     status = Machine(
                         executable, inputs=list(job.inputs),
-                        observers=[profile],
+                        observers=[profile] if log is None
+                        else [profile, log],
                         max_instructions=(job.fuel_budget
                                           * policy.fuel_scale(attempt)),
                         wall_clock_deadline=job.wall_clock_deadline,
@@ -332,8 +368,12 @@ def execute(job: ShardJob, cache: ArtifactCache | None) -> ShardResult:
         # a failed pass is dropped: the caller re-runs it, so it raises
         # or renders FAILED exactly as a serial pass does
         with contextlib.suppress(ReproError):
-            analyzers = sequence_pass(job, executable, analysis, profile,
-                                      cache)
+            if log is not None:
+                analyzers = logged_sequences(job, log, analysis, profile,
+                                             cache)
+            else:
+                analyzers = sequence_pass(job, executable, analysis,
+                                          profile, cache)
     shipped = job.preseeded is not None
     return ShardResult(
         benchmark=job.benchmark, dataset=job.dataset, status=RunStatus.OK,

@@ -30,7 +30,7 @@ Scale-out (see docs/performance.md):
 
 ``parallelism=N``
     :meth:`SuiteRunner.prefetch` executes a batch of missing (benchmark,
-    dataset) shards, optionally with their Graphs 4-11 sequence passes,
+    dataset) shards, optionally with their Graphs 4-11 sequence analyzers,
     through :class:`~repro.harness.parallel.ParallelEngine`, whose
     workers run the same core and whose results are adopted in
     submission order — table/graph output is byte-identical to a serial
@@ -197,6 +197,9 @@ class SuiteRunner:
         self._runs: dict[tuple[str, str], BenchmarkRun] = {}
         self._sequences: dict[tuple[str, str],
                               dict[str, SequenceAnalyzer]] = {}
+        #: runs whose sequence analyzers will be read: their profile runs
+        #: record a log (see :meth:`declare_sequences`)
+        self._sequence_demand: set[tuple[str, str]] = set()
         # negative caches (degraded mode): compile failures per benchmark,
         # run failures per (benchmark, dataset, limits-fingerprint) — the
         # fingerprint keeps a fault injected under one set of limits from
@@ -380,13 +383,22 @@ class SuiteRunner:
         """Profile one benchmark execution (memoized); raises on failure."""
         return self.outcome(name, dataset).require()
 
+    def declare_sequences(self, pairs: Collection[tuple[str, str]]) -> None:
+        """Declare the (benchmark, dataset) runs whose :meth:`sequences`
+        will be read, before they run: each such profile run records its
+        event log and yields its analyzers itself, so the sequence pass
+        simulates nothing more."""
+        self._sequence_demand.update(pairs)
+
     def sequences(self, name: str, dataset: str = "ref"
                   ) -> dict[str, SequenceAnalyzer]:
         """The Graphs 4-11 sequence analyzers of one run, memoized per
-        (benchmark, dataset that ran) — see
-        :func:`~repro.harness.parallel.sequence_pass` for the limits the
-        pass runs under and its persistent cache entry.  Failures raise
-        and are never memoized."""
+        (benchmark, dataset that ran).  A run declared beforehand
+        (:meth:`declare_sequences`) computed them from its own log; any
+        other run goes through :func:`~repro.harness.parallel.
+        sequence_pass` — its persistent cache entry, else a
+        re-simulation under the run's limits.  Failures raise and are
+        never memoized."""
         from repro.harness.parallel import sequence_pass
         run = self.run(name, dataset)
         key = (name, run.dataset.name)
@@ -420,6 +432,7 @@ class SuiteRunner:
         poisoned = name in self._poisoned
         return ShardJob(
             benchmark=name, dataset=dataset, inputs=inputs,
+            sequences=(name, dataset) in self._sequence_demand,
             fuel_budget=budget,
             retry_fuel_factor=self._effective_retry_factor,
             wall_clock_deadline=self.wall_clock_deadline,
@@ -439,13 +452,15 @@ class SuiteRunner:
         one parallel batch; returns the shard count.
 
         Populates the memo caches so the subsequent serial walk (tables,
-        graphs, :meth:`outcome`) is all hits.  A shard whose pair is in
-        *with_sequences* also runs its :meth:`sequences` pass in the
-        worker; a pass that fails there is not memoized, so
-        :meth:`sequences` re-runs it and raises or renders it exactly as
-        a serial run does.  No-op when ``parallelism`` is 1 or fewer than
-        two shards are missing (pool overhead would exceed the win).
+        graphs, :meth:`outcome`) is all hits.  *with_sequences* is
+        declared (:meth:`declare_sequences`), so those shards compute
+        their sequence analyzers in the worker; a pass that fails there
+        is not memoized, so :meth:`sequences` re-runs it and raises or
+        renders it exactly as a serial run does.  Runs no batch when
+        ``parallelism`` is 1 or fewer than two shards are missing (pool
+        overhead would exceed the win).
         """
+        self.declare_sequences(with_sequences)
         if self.parallelism <= 1:
             return 0
         from repro.harness.parallel import ParallelEngine
@@ -454,7 +469,6 @@ class SuiteRunner:
             job = (self._shard_job(name, dataset)
                    if self._needs_run(name, dataset) else None)
             if job is not None:
-                job.sequences = (name, dataset) in with_sequences
                 jobs.append(job)
         if len(jobs) < 2:
             return 0

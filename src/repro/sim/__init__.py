@@ -1,9 +1,10 @@
 """Simulator substrate: the QPT stand-in.
 
-Runs linked executables (:class:`~repro.sim.machine.Machine`) while streaming
-the events QPT's instrumentation counted: edge profiles
-(:class:`~repro.sim.profile.EdgeProfile`) and trace-based sequence analysis
-(:class:`~repro.sim.trace.SequenceAnalyzer`).
+Runs linked executables (:class:`~repro.sim.machine.Machine`) under QPT's
+two instrumentations: per-branch counters for edge profiles
+(:class:`~repro.sim.profile.EdgeProfile`, count mode) and one ordered
+event log per traced run (:class:`~repro.sim.trace.SequenceLog`, log mode)
+for trace-based sequence analysis (:class:`~repro.sim.trace.SequenceAnalyzer`).
 """
 
 from repro.errors import CallFrame, CrashReport
@@ -17,7 +18,9 @@ from repro.sim.machine import (
 )
 from repro.sim.memory import Memory, MemoryError_
 from repro.sim.profile import EdgeProfile
-from repro.sim.trace import BranchTrace, SequenceAnalyzer
+from repro.sim.trace import (
+    BranchTrace, SequenceAnalyzer, SequenceLog, sequence_analyzers,
+)
 
 __all__ = [
     "Machine",
@@ -38,6 +41,8 @@ __all__ = [
     "MemoryError_",
     "EdgeProfile",
     "SequenceAnalyzer",
+    "SequenceLog",
+    "sequence_analyzers",
     "BranchTrace",
     "run_with_profile",
     "run_with_sequences",
@@ -73,16 +78,15 @@ def run_with_sequences(
 
     *predictions_by_name* maps a label (e.g. ``"perfect"``) to a full
     prediction map (branch address -> predict-taken). Returns the analyzers
-    keyed by the same labels.  *layout* is forwarded to the
-    :class:`Machine` (the superblock path; no observable depends on it).
+    keyed by the same labels, each computed from the run's one
+    :class:`SequenceLog`.  *layout* is forwarded to the :class:`Machine`
+    (the superblock path; no observable depends on it).
     """
-    analyzers = {name: SequenceAnalyzer(preds)
-                 for name, preds in predictions_by_name.items()}
-    machine = Machine(executable, inputs=inputs,
-                      observers=list(analyzers.values()),
+    log = SequenceLog()
+    machine = Machine(executable, inputs=inputs, observers=[log],
                       max_instructions=max_instructions, engine=engine,
                       max_memory_bytes=max_memory_bytes,
                       wall_clock_deadline=wall_clock_deadline,
                       layout=layout)
     machine.run()
-    return analyzers
+    return sequence_analyzers(log, predictions_by_name)

@@ -16,8 +16,14 @@ instruction counter *including* this instruction.  Handlers never touch
 fuel, ticks, or telemetry — that bookkeeping stays in the engine loop so
 Tier-0 and Tier-1 share one definition of it.  Branch and indirect-jump
 events are appended to the machine's pending-event list
-(``machine._pending``) as ``(inst, taken_or_None, count)`` tuples and
-flushed in batches by the engine (see ``Observer.on_events``).
+(``machine._pending``) and flushed in batches by the engine.  A run
+records them in one of two instrumentations (see
+:mod:`repro.sim.engine`): in *log mode* as ``(inst, taken_or_None,
+count)`` tuples (see ``Observer.on_events``), in *count mode* as one
+constant integer id per event — ``2*i`` (taken) or ``2*i + 1`` (not
+taken) for the conditional branch at instruction index ``i``, ``2*n +
+i`` for the indirect jump there (``n`` instructions) — so a handler
+builds no tuple and reads no count.
 
 Decode never fails the machine constructor: an instruction whose decode
 raises (corrupted operands injected by chaos tooling, unknown opcodes)
@@ -47,8 +53,11 @@ _S32 = 1 << 31
 
 
 def build_handlers(machine) -> list:
-    """Pre-decode ``machine._insts`` into a parallel list of closures."""
+    """Pre-decode ``machine._insts`` into a parallel list of closures, in
+    the machine's event encoding (``machine._counting``)."""
+    counting = machine._counting
     insts = machine._insts
+    indirect_base = 2 * len(insts)
     tindex = machine._tindex
     regs = machine.regs
     fregs = machine.fregs
@@ -92,6 +101,15 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "beq":
+            if counting:
+                def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] == regs[rt]:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, rt=rt, t=tindex[i], nxt=nxt):
                 if regs[rs] == regs[rt]:
                     pend((inst, True, count))
@@ -100,6 +118,15 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bne":
+            if counting:
+                def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] != regs[rt]:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, rt=rt, t=tindex[i], nxt=nxt):
                 if regs[rs] != regs[rt]:
                     pend((inst, True, count))
@@ -150,6 +177,14 @@ def build_handlers(machine) -> list:
                     return (addr - TEXT_BASE) // WORD_SIZE
                 return h
 
+            if counting:
+                def h(count, rs=rs, ev=indirect_base + i):
+                    addr = regs[rs] & _M32
+                    pend(ev)
+                    if addr == HALT_ADDRESS:
+                        return HALT_INDEX
+                    return (addr - TEXT_BASE) // WORD_SIZE
+                return h
             def h(count, inst=inst, rs=rs):
                 addr = regs[rs] & _M32
                 pend((inst, None, count))
@@ -159,14 +194,25 @@ def build_handlers(machine) -> list:
             return h
         if name == "jalr":
             ra = TEXT_BASE + WORD_SIZE * (i + 1)
-            def h(count, inst=inst, rd=rd, rs=rs, ra=ra, site=inst.address):
+            ev = indirect_base + i if counting else None
+            def h(count, inst=inst, rd=rd, rs=rs, ra=ra, site=inst.address,
+                  ev=ev):
                 addr = regs[rs] & _M32
                 regs[rd] = ra
                 call_stack.append((site, addr, ra))
-                pend((inst, None, count))
+                pend(ev if ev is not None else (inst, None, count))
                 return (addr - TEXT_BASE) // WORD_SIZE
             return h
         if name == "blez":
+            if counting:
+                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] <= 0:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
                 if regs[rs] <= 0:
                     pend((inst, True, count))
@@ -175,6 +221,15 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bgtz":
+            if counting:
+                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] > 0:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
                 if regs[rs] > 0:
                     pend((inst, True, count))
@@ -183,6 +238,15 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bltz":
+            if counting:
+                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] < 0:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
                 if regs[rs] < 0:
                     pend((inst, True, count))
@@ -191,6 +255,15 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bgez":
+            if counting:
+                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                      N=2 * i + 1):
+                    if regs[rs] >= 0:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
                 if regs[rs] >= 0:
                     pend((inst, True, count))
@@ -406,6 +479,14 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bc1t":
+            if counting:
+                def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1):
+                    if machine.fp_cond:
+                        pend(T)
+                        return t
+                    pend(N)
+                    return nxt
+                return h
             def h(count, inst=inst, t=tindex[i], nxt=nxt):
                 if machine.fp_cond:
                     pend((inst, True, count))
@@ -414,6 +495,14 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bc1f":
+            if counting:
+                def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1):
+                    if machine.fp_cond:
+                        pend(N)
+                        return nxt
+                    pend(T)
+                    return t
+                return h
             def h(count, inst=inst, t=tindex[i], nxt=nxt):
                 if machine.fp_cond:
                     pend((inst, False, count))

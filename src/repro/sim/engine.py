@@ -18,6 +18,22 @@ Both engines retire identical architectural state, outputs, branch-event
 streams, and crash reports — the Tier-0-vs-Tier-1 differential suite
 holds over every benchmark.
 
+Two instrumentations, chosen per machine from what its observers consume
+(QPT's split between edge counters and traces):
+
+* **count mode** — every observer declares ``takes_counts`` (an
+  :class:`~repro.sim.profile.EdgeProfile`, or no observer at all).
+  Handlers and superblocks append one constant integer id per branch
+  event (see :mod:`repro.sim.decode`; a looped superblock appends its
+  loop id ``3*n + head`` followed by ``~iterations``); each flush folds
+  its batch into the run's id counts with one ``np.bincount``; at run
+  end the ids become per-branch taken/not-taken counts for the
+  observers' ``on_counts`` and the crash history is decoded from the
+  last batches kept.
+* **log mode** — anything else: the ordered ``(inst, taken, count)``
+  stream, delivered batch by batch to ``on_events`` (or replayed through
+  ``on_branch``/``on_indirect`` for duck-typed observers).
+
 Engine selection (:func:`resolve_engine_name`): an explicit request
 (constructor argument / CLI ``--engine``) wins, then the
 ``REPRO_SIM_ENGINE`` environment variable, then the default ``tier1``.
@@ -29,7 +45,10 @@ threading configuration through every layer.
 from __future__ import annotations
 
 import os
+from collections import deque
 from time import monotonic, perf_counter
+
+import numpy as np
 
 from repro.errors import (
     SimulationError, SimulationLimitExceeded, SimulationTimeout,
@@ -99,14 +118,124 @@ def _replay_sink(ob):
     return replay
 
 
+class _IdCounter:
+    """Count-mode bookkeeping of one run: the flush, and the run-end
+    conversion of ids into per-branch counts and crash history.
+
+    *cache* is the run's :class:`~repro.sim.traces.TraceCache` (``None``
+    on Tier 0, which never records loop ids)."""
+
+    def __init__(self, machine, observers, cache=None):
+        self.machine = machine
+        self.observers = observers
+        self.cache = cache
+        n = len(machine._insts)
+        self.n = n
+        self.ids = np.zeros(4 * n, dtype=np.int64)
+        self.iterations = np.zeros(n, dtype=np.int64)
+        #: the latest batches as (ids, conditional ids among them), back
+        #: far enough to hold the crash history's last events
+        self.kept: deque = deque()
+        self.kept_events = 0
+        self.keep = machine._branch_history.maxlen
+
+    def flush(self):
+        pending = self.machine._pending
+        if not pending:
+            return
+        batch = np.array(pending, dtype=np.int64)
+        del pending[:]
+        negative = batch < 0
+        if negative.any():
+            at = np.flatnonzero(negative)
+            np.add.at(self.iterations, batch[at - 1] - 3 * self.n,
+                      ~batch[at])
+            counts = np.bincount(batch[~negative])
+        else:
+            counts = np.bincount(batch)
+        self.ids[:len(counts)] += counts
+        conditional = int(counts[:2 * self.n].sum())
+        kept = self.kept
+        kept.append((batch, conditional))
+        self.kept_events += conditional
+        while self.kept_events - kept[0][1] >= self.keep:
+            self.kept_events -= kept.popleft()[1]
+
+    def _template(self, head):
+        return [ev for ev, _, _ in self.cache.blocks[head].iter_events]
+
+    def close(self) -> int:
+        """Fold loop runs into per-branch counts, decode the crash
+        history, hand the counts to the observers; returns the run's
+        conditional-branch count."""
+        n = self.n
+        counts = self.ids[:2 * n].copy()
+        for head in np.flatnonzero(self.iterations).tolist():
+            times = self.iterations[head]
+            for ev in self._template(head):
+                counts[ev] += times
+        self.machine._branch_history.extend(self._history())
+        taken, not_taken = counts[0::2], counts[1::2]
+        executed = np.flatnonzero(taken + not_taken)
+        if self.observers and executed.size:
+            insts = self.machine._insts
+            addresses = [insts[i].address for i in executed.tolist()]
+            taken_list = taken[executed].tolist()
+            not_taken_list = not_taken[executed].tolist()
+            for ob in self.observers:
+                ob.on_counts(addresses, taken_list, not_taken_list)
+        return int(counts.sum())
+
+    def _history(self) -> list[tuple[int, bool]]:
+        """The run's last ``keep`` conditional outcomes, oldest first,
+        decoded from the kept batches (a loop id expands through its
+        template)."""
+        n, keep = self.n, self.keep
+        insts = self.machine._insts
+        out: list[tuple[int, bool]] = []
+        for batch, _ in reversed(self.kept):
+            ids = batch.tolist()
+            j = len(ids) - 1
+            while j >= 0 and len(out) < keep:
+                ev = ids[j]
+                if ev < 0:
+                    template = self._template(ids[j - 1] - 3 * n)
+                    if template:
+                        for _ in range(min(~ev, keep // len(template) + 1)):
+                            for tev in reversed(template):
+                                out.append((insts[tev >> 1].address,
+                                            not tev & 1))
+                    j -= 2
+                    continue
+                if ev < 2 * n:
+                    out.append((insts[ev >> 1].address, not ev & 1))
+                j -= 1
+            if len(out) >= keep:
+                break
+        del out[keep:]
+        out.reverse()
+        return out
+
+
 class _EngineBase:
-    """Shared setup: the pre-decoded handler table and event batching."""
+    """Shared setup: the pre-decoded handler table (in the machine's event
+    encoding) and event batching."""
 
     name = "?"
 
     def __init__(self, machine):
         self.machine = machine
         self.handlers = build_handlers(machine)
+
+    def _recorder(self, observers, cache=None):
+        """``(flush, close)`` for one run: *close* runs once at run end
+        (success or fault) and returns the run's conditional-branch
+        count."""
+        if self.machine._counting:
+            counter = _IdCounter(self.machine, observers, cache)
+            return counter.flush, counter.close
+        flush, counted = self._make_flush(observers)
+        return flush, lambda: counted[0]
 
     def _make_flush(self, observers):
         """Build the batched event flush for one run.
@@ -161,6 +290,19 @@ class _EngineBase:
         return flush, counted
 
 
+def _drain(flush, close) -> int:
+    """The fault path's flush and close: an observer that raises here
+    cannot mask the fault being reported; returns the branch count."""
+    try:
+        flush()
+    except Exception:
+        pass
+    try:
+        return close()
+    except Exception:
+        return 0
+
+
 class Tier0Engine(_EngineBase):
     """Pre-decoded dispatch with per-instruction housekeeping."""
 
@@ -174,7 +316,7 @@ class Tier0Engine(_EngineBase):
         count = m.instr_count
         limit = m.max_instructions
         observers = list(m.observers)
-        flush, counted = self._make_flush(observers)
+        flush, close = self._recorder(observers)
         deadline = None
         if m.wall_clock_deadline is not None:
             deadline = monotonic() + m.wall_clock_deadline
@@ -213,17 +355,13 @@ class Tier0Engine(_EngineBase):
                 raise SimulationError(
                     f"pc out of range: 0x{TEXT_BASE + WORD_SIZE * pc:x}")
         except BaseException:
-            try:
-                flush()
-            except Exception:
-                pass
             m._fault_pc = pc
-            m._finish_run(count, counted[0], ticks, hot_pc, start,
+            m._finish_run(count, _drain(flush, close), ticks, hot_pc, start,
                           faulted=True)
             raise
 
         flush()
-        m._finish_run(count, counted[0], ticks, hot_pc, start, faulted=False)
+        m._finish_run(count, close(), ticks, hot_pc, start, faulted=False)
         for ob in observers:
             ob.on_finish(count)
         return m._exit_status(count)
@@ -247,7 +385,8 @@ class Tier1Engine(_EngineBase):
         count = m.instr_count
         limit = m.max_instructions
         observers = list(m.observers)
-        flush, counted = self._make_flush(observers)
+        cache = self.cache
+        flush, close = self._recorder(observers, cache)
         deadline = None
         if m.wall_clock_deadline is not None:
             deadline = monotonic() + m.wall_clock_deadline
@@ -265,7 +404,6 @@ class Tier1Engine(_EngineBase):
         start = (count, m.dynamic_branches, m.syscall_count, perf_counter())
         m._fault_pc = pc
 
-        cache = self.cache
         blocks = cache.blocks
         blocks_get = blocks.get
         heat = self.heat
@@ -365,17 +503,13 @@ class Tier1Engine(_EngineBase):
             recovered = recover_block_fault(cache, exc, m)
             if recovered is not None:
                 pc, count = recovered
-            try:
-                flush()
-            except Exception:
-                pass
             m._fault_pc = pc
-            m._finish_run(count, counted[0], ticks, hot_pc, start,
+            m._finish_run(count, _drain(flush, close), ticks, hot_pc, start,
                           faulted=True, tier_stats=tier_stats())
             raise
 
         flush()
-        m._finish_run(count, counted[0], ticks, hot_pc, start, faulted=False,
+        m._finish_run(count, close(), ticks, hot_pc, start, faulted=False,
                       tier_stats=tier_stats())
         for ob in observers:
             ob.on_finish(count)

@@ -13,7 +13,9 @@ is pre-decoded once into per-opcode closures (:mod:`repro.sim.decode`,
 into fused superblock handlers (:mod:`repro.sim.traces`, "tier1") with
 watchdog/telemetry/observer housekeeping batched at superblock boundaries.
 Both tiers retire identical architectural state, output, branch-event
-streams, and crash reports; ``Machine`` is the stable facade over them —
+streams, and crash reports, in either instrumentation — per-branch
+counters (count mode) or the ordered event stream (log mode), chosen
+from the observers; ``Machine`` is the stable facade over them —
 it owns all simulated state (registers, memory, syscalls, call-stack and
 branch-history shadows) while the engines own only dispatch.
 
@@ -85,13 +87,24 @@ _INTERNAL_FAULTS = (KeyError, IndexError, ValueError, TypeError,
 class Observer:
     """Subscriber to execution events. Subclass and override what you need.
 
-    The engines deliver events in *batches* (:meth:`on_events`) flushed at
-    housekeeping ticks, superblock boundaries, faults, and run end.  The
-    default implementation replays a batch through the per-event hooks, so
-    subclasses overriding only :meth:`on_branch`/:meth:`on_indirect` keep
-    working unchanged; throughput-sensitive observers override
-    :meth:`on_events` instead.  Event order is always execution order, and
-    the batch list is only valid for the duration of the call."""
+    A machine's runs record in one of two instrumentations (see
+    :mod:`repro.sim.engine`), picked from the observers it is built
+    with.  If every observer sets :attr:`takes_counts`, the runs are in
+    *count mode*: they keep per-branch counters only and call
+    :meth:`on_counts` once at run end.  Otherwise they are in *log
+    mode*: the engines deliver the ordered events in *batches*
+    (:meth:`on_events`) flushed at housekeeping ticks, superblock
+    boundaries, faults, and run end.  The
+    default :meth:`on_events` replays a batch through the per-event
+    hooks, so subclasses overriding only :meth:`on_branch`/
+    :meth:`on_indirect` keep working unchanged; throughput-sensitive
+    observers override :meth:`on_events` instead.  Event order is always
+    execution order, and the batch list is only valid for the duration
+    of the call."""
+
+    #: whether this observer needs only per-branch counts; a run whose
+    #: observers all say so records in count mode
+    takes_counts = False
 
     def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
         """A conditional branch executed; *taken* is its outcome and
@@ -125,6 +138,12 @@ class Observer:
             else:
                 self.on_branch(inst, taken, ev[2])
 
+    def on_counts(self, addresses: list[int], taken: list[int],
+                  not_taken: list[int]) -> None:
+        """Count mode only: the run's per-branch outcome counts, once at
+        run end (also after a fault) — parallel lists over the branches
+        that executed, in address order."""
+
     def on_finish(self, instr_count: int) -> None:
         """Execution finished normally."""
 
@@ -152,6 +171,10 @@ class Machine:
         ``read_char`` syscalls — this is how datasets are fed to benchmarks.
     observers:
         Event subscribers (edge profilers, sequence analyzers, tracers).
+        They pick the run's instrumentation: count mode when every
+        observer takes counts (:attr:`Observer.takes_counts`, as an
+        :class:`~repro.sim.profile.EdgeProfile` does), else log mode —
+        see :class:`Observer`.
     max_instructions:
         Fuel limit; :class:`SimulationLimitExceeded` is raised beyond it.
     wall_clock_deadline:
@@ -233,6 +256,11 @@ class Machine:
         self.regs[31] = HALT_ADDRESS
         self.inputs = deque(inputs or [])
         self.observers = list(observers or [])
+        #: whether this machine's runs record in count mode: every
+        #: observer takes counts (vacuously so for none); fixed here,
+        #: like the observers, so the engine decodes one event encoding
+        self._counting = all(getattr(ob, "takes_counts", False)
+                             for ob in self.observers)
         self.max_instructions = max_instructions
         self.wall_clock_deadline = wall_clock_deadline
         self.telemetry = telemetry if telemetry is not None \
@@ -263,9 +291,10 @@ class Machine:
         #: ring of recent (branch_address, taken) outcomes for crash reports
         self._branch_history: deque[tuple[int, bool]] = deque(
             maxlen=max(1, branch_history_limit))
-        #: batched (inst, taken_or_None, count) events awaiting a flush;
-        #: shared by the pre-decoded handlers and compiled superblocks
-        self._pending: list[tuple[Instruction, bool | None, int]] = []
+        #: batched events awaiting a flush, shared by the pre-decoded
+        #: handlers and compiled superblocks: (inst, taken_or_None, count)
+        #: tuples in log mode, integer ids in count mode
+        self._pending: list = []
         #: shared mutable counter cell bumped by superblock side exits
         self._side_exit_cell = [0]
         self._brk = executable.heap_start

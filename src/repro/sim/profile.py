@@ -16,7 +16,14 @@ __all__ = ["EdgeProfile"]
 
 
 class EdgeProfile(Observer):
-    """Per-branch taken / not-taken counts collected during a run."""
+    """Per-branch taken / not-taken counts collected during a run.
+
+    It takes counts (:attr:`~repro.sim.machine.Observer.takes_counts`): a
+    run whose only observers are edge profiles records in count mode and
+    fills each profile once at run end (:meth:`on_counts`); next to a
+    log-mode observer it aggregates the event batches instead."""
+
+    takes_counts = True
 
     def __init__(self) -> None:
         self._counts: dict[int, list[int]] = {}
@@ -65,6 +72,17 @@ class EdgeProfile(Observer):
             counts[0 if taken else 1] += 1
             n += 1
         self.total_dynamic_branches += n
+
+    def on_counts(self, addresses, taken, not_taken) -> None:
+        counts_map = self._counts
+        for addr, t, nt in zip(addresses, taken, not_taken):
+            counts = counts_map.get(addr)
+            if counts is None:
+                counts_map[addr] = [t, nt]
+            else:
+                counts[0] += t
+                counts[1] += nt
+        self.total_dynamic_branches += sum(taken) + sum(not_taken)
 
     def on_finish(self, instr_count: int) -> None:
         self.total_instructions = instr_count

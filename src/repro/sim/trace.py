@@ -12,15 +12,22 @@ contain — enough to plot the cumulative distributions of Graphs 4-11 and to
 compute the IPBC average and the *dividing length* (the sequence length at
 which 50% of executed instructions are accounted for).
 
-:class:`SequenceAnalyzer` computes all of this online from simulator events,
-so the (potentially enormous) trace is never materialized — the very point
-the paper makes about traces vs. profiles is preserved because we aggregate
-per-sequence, not per-program.
+A run records its trace once, as a compact :class:`SequenceLog` (branch
+address, outcome or indirect mark, and instruction count per event; the
+run markers of looped superblocks stay run-length encoded), and
+:meth:`SequenceAnalyzer.analyze` computes one predictor's distribution
+from a log in one vectorized pass — so one log serves every prediction
+map, including the perfect predictor, whose map exists only once the
+run's own profile is complete.  The log is dropped after the pass: the
+distributions are aggregated per sequence, not kept per event, which is
+the paper's point about traces vs. profiles.
 """
 
 from __future__ import annotations
 
 import logging
+
+import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.isa.instructions import Instruction
@@ -28,16 +35,109 @@ from repro.sim.machine import Observer
 
 _log = logging.getLogger("repro.sim.trace")
 
-__all__ = ["SequenceAnalyzer", "BranchTrace", "NUM_BUCKETS", "BUCKET_WIDTH"]
+__all__ = ["SequenceAnalyzer", "SequenceLog", "BranchTrace",
+           "sequence_analyzers", "NUM_BUCKETS", "BUCKET_WIDTH"]
 
 NUM_BUCKETS = 1000
 BUCKET_WIDTH = 10
 _OVERFLOW = NUM_BUCKETS - 1
 
+#: event kinds in a :class:`SequenceLog`
+_NOT_TAKEN, _TAKEN, _INDIRECT = 0, 1, 2
+#: events buffered as Python lists before they are packed into arrays
+#: (small, so the transient lists never outweigh the packed log)
+_CHUNK = 4096
+
+
+class SequenceLog(Observer):
+    """The ordered branch events of one run, recorded compactly.
+
+    Per conditional or indirect event the log keeps the branch address,
+    the kind (taken, not taken, indirect) and the instruction count; a
+    Tier-1 run marker is kept as is, with its position among the events.
+    It is a log-mode observer (the order and the counts matter), and it
+    does no analysis itself: :meth:`SequenceAnalyzer.analyze` reads it.
+    """
+
+    def __init__(self) -> None:
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._packed = 0
+        self._addr: list[int] = []
+        self._kind: list[int] = []
+        self._count: list[int] = []
+        #: (events before it, template, base, iterations, stride)
+        self.markers: list[tuple] = []
+        self.total_instructions = 0
+
+    def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
+        self._addr.append(inst.address)
+        self._kind.append(_TAKEN if taken else _NOT_TAKEN)
+        self._count.append(instr_count)
+
+    def on_indirect(self, inst: Instruction, instr_count: int) -> None:
+        self._addr.append(inst.address)
+        self._kind.append(_INDIRECT)
+        self._count.append(instr_count)
+
+    def on_events(self, events) -> None:
+        addr, kind, count = self._addr, self._kind, self._count
+        add_addr, add_kind, add_count = addr.append, kind.append, count.append
+        for ev in events:
+            inst = ev[0]
+            if inst is None:
+                self.markers.append((self._packed + len(addr),) + ev[1:])
+                continue
+            taken = ev[1]
+            add_addr(inst.address)
+            add_kind(_INDIRECT if taken is None else taken)
+            add_count(ev[2])
+        if len(addr) >= _CHUNK:
+            self._pack()
+
+    def on_finish(self, instr_count: int) -> None:
+        self.total_instructions = instr_count
+
+    def _pack(self) -> None:
+        if self._addr:
+            self._chunks.append((np.array(self._addr, dtype=np.int64),
+                                 np.array(self._kind, dtype=np.int8),
+                                 np.array(self._count, dtype=np.int64)))
+            self._packed += len(self._addr)
+            self._addr, self._kind, self._count = [], [], []
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(addresses, kinds, counts)`` of every event, in order."""
+        self._pack()
+        if len(self._chunks) != 1:
+            columns = list(zip(*self._chunks)) or [[], [], []]
+            self._chunks = [tuple(
+                np.concatenate(col) if col else np.zeros(0, dtype)
+                for col, dtype in zip(columns,
+                                      (np.int64, np.int8, np.int64)))]
+            self._branches = None
+        return self._chunks[0]
+
+    _branches = None
+
+    def branches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """The conditional events, computed once for every map that reads
+        the log: ``(positions, distinct addresses, index of each event's
+        address among them, taken)``."""
+        addr, kind, _ = self.arrays()
+        if self._branches is None:
+            where = np.flatnonzero(kind != _INDIRECT)
+            unique, inverse = np.unique(addr[where], return_inverse=True)
+            self._branches = (where, unique, inverse, kind[where] == _TAKEN)
+        return self._branches
+
 
 class SequenceAnalyzer(Observer):
-    """Online computation of the sequence-length distribution for one static
-    predictor.
+    """The sequence-length distribution of one static predictor.
+
+    As an observer it records the run's :class:`SequenceLog` and runs
+    :meth:`analyze` over it in :meth:`on_finish`; the harness records one
+    log per run instead and analyzes it once per prediction map.
 
     Parameters
     ----------
@@ -64,68 +164,119 @@ class SequenceAnalyzer(Observer):
         self.total_instructions = 0
         self._last_break_count = 0
 
+    #: the log of the run being observed (an instance attribute only
+    #: while one is recorded, so it is never pickled)
+    _log: SequenceLog | None = None
+
     # -- observer hooks -----------------------------------------------------------
 
+    def _recording(self) -> SequenceLog:
+        log = self._log
+        if log is None:
+            log = self._log = SequenceLog()
+        return log
+
     def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
-        self.n_branches += 1
-        if self.predictions[inst.address] != taken:
-            self.n_mispredicts += 1
-            self._record_break(instr_count)
+        self._recording().on_branch(inst, taken, instr_count)
 
     def on_indirect(self, inst: Instruction, instr_count: int) -> None:
-        self._record_break(instr_count)
+        self._recording().on_indirect(inst, instr_count)
 
     def on_events(self, events) -> None:
-        # batched fast path: same aggregation as the per-event hooks.  A
-        # run marker stands for `iters` identical loop iterations; when the
-        # predictor agrees with every event in the template (the common
-        # case — the loop's hot direction), the whole run contributes no
-        # breaks and aggregates in O(template).  Otherwise each iteration
-        # breaks at the same offsets and is replayed break-by-break.
-        predictions = self.predictions
-        record = self._record_break
-        n = 0
-        misses = 0
-        for ev in events:
-            inst = ev[0]
-            if inst is None:
-                _, tmpl, b0, iters, ln = ev
-                if iters <= 0 or not tmpl:
-                    continue
-                n += len(tmpl) * iters
-                missed = [off for binst, taken, off in tmpl
-                          if predictions[binst.address] != taken]
-                if not missed:
-                    continue
-                misses += len(missed) * iters
-                for i in range(iters):
-                    cb = b0 + i * ln
-                    for off in missed:
-                        record(cb + off)
-                continue
-            taken = ev[1]
-            if taken is None:
-                record(ev[2])
-                continue
-            n += 1
-            if predictions[inst.address] != taken:
-                misses += 1
-                record(ev[2])
-        self.n_branches += n
-        self.n_mispredicts += misses
+        self._recording().on_events(events)
 
     def on_finish(self, instr_count: int) -> None:
-        self.total_instructions = instr_count
-        if self.include_trailing and instr_count > self._last_break_count:
-            self._record_break(instr_count)
+        log = self.__dict__.pop("_log", None)
+        if log is None:
+            log = SequenceLog()
+        log.on_finish(instr_count)
+        self.analyze(log)
 
-    def _record_break(self, instr_count: int) -> None:
-        length = instr_count - self._last_break_count
-        self._last_break_count = instr_count
-        self.n_breaks += 1
-        bucket = min(length // BUCKET_WIDTH, _OVERFLOW)
-        self.seq_counts[bucket] += 1
-        self.seq_instr_sums[bucket] += length
+    # -- the pass -------------------------------------------------------------------
+
+    def analyze(self, log: SequenceLog) -> "SequenceAnalyzer":
+        """Fold a finished run's *log* into this analyzer, as if its
+        events had arrived one by one; returns ``self``.
+
+        One vectorized pass: the breaks among the logged events are the
+        mispredicted conditional branches and the indirect events, and a
+        run marker whose template this map mispredicts somewhere
+        contributes its first and last break plus a closed form for the
+        gaps between — ``iterations`` copies of each gap inside an
+        iteration and ``iterations - 1`` wrap-around gaps.  A branch the
+        map does not cover raises ``KeyError``.  Bucket sums stay
+        integers."""
+        predictions = self.predictions
+        _, kind, count = log.arrays()
+        where, unique, inverse, taken = log.branches()
+        breaks = kind == _INDIRECT
+        n_branches = len(where)
+        n_mispredicts = 0
+        if n_branches:
+            predicted = np.array([predictions[a] for a in unique.tolist()],
+                                 dtype=bool)
+            missed = predicted[inverse] != taken
+            breaks[where[missed]] = True
+            n_mispredicts = int(np.count_nonzero(missed))
+        positions = np.flatnonzero(breaks)
+        points = count[positions]
+        n_breaks = len(points)
+        # run markers: insert each one's first (and last) break in stream
+        # order; the gaps inside a run are added in closed form
+        at: list[int] = []
+        values: list[int] = []
+        skip: list[int] = []
+        inner: dict[int, int] = {}
+        for pos, template, base, iterations, stride in log.markers:
+            if iterations <= 0 or not template:
+                continue
+            n_branches += len(template) * iterations
+            offsets = [off for inst, taken, off in template
+                       if predictions[inst.address] != taken]
+            if not offsets:
+                continue
+            n_mispredicts += len(offsets) * iterations
+            n_breaks += len(offsets) * iterations
+            index = int(np.searchsorted(positions, pos))
+            at.append(index)
+            values.append(base + offsets[0])
+            if len(offsets) * iterations > 1:
+                skip.append(index + len(at))
+                at.append(index)
+                values.append(base + (iterations - 1) * stride + offsets[-1])
+                for a, b in zip(offsets, offsets[1:]):
+                    inner[b - a] = inner.get(b - a, 0) + iterations
+                wrap = stride - offsets[-1] + offsets[0]
+                inner[wrap] = inner.get(wrap, 0) + iterations - 1
+        if at:
+            points = np.insert(points, at, values)
+        lengths = np.diff(points, prepend=self._last_break_count)
+        if skip:
+            lengths = np.delete(lengths, skip)
+        last = int(points[-1]) if len(points) else self._last_break_count
+        self.total_instructions = log.total_instructions
+        if self.include_trailing and log.total_instructions > last:
+            lengths = np.append(lengths, log.total_instructions - last)
+            last = log.total_instructions
+            n_breaks += 1
+        buckets = np.minimum(lengths // BUCKET_WIDTH, _OVERFLOW)
+        seq_counts = np.bincount(buckets, minlength=NUM_BUCKETS)
+        seq_sums = np.zeros(NUM_BUCKETS, dtype=np.int64)
+        np.add.at(seq_sums, buckets, lengths)
+        seq_counts, seq_sums = seq_counts.tolist(), seq_sums.tolist()
+        for length, times in inner.items():
+            bucket = min(length // BUCKET_WIDTH, _OVERFLOW)
+            seq_counts[bucket] += times
+            seq_sums[bucket] += length * times
+        self.seq_counts[:] = [a + b for a, b in
+                              zip(self.seq_counts, seq_counts)]
+        self.seq_instr_sums[:] = [a + b for a, b in
+                                  zip(self.seq_instr_sums, seq_sums)]
+        self.n_breaks += n_breaks
+        self.n_branches += n_branches
+        self.n_mispredicts += n_mispredicts
+        self._last_break_count = last
+        return self
 
     # -- derived metrics -----------------------------------------------------------
 
@@ -148,7 +299,9 @@ class SequenceAnalyzer(Observer):
     def cumulative_instructions(self) -> list[tuple[int, float]]:
         """Points ``(x, pct)`` where *pct* is the percentage of executed
         instructions accounted for by sequences of length < x; x ranges over
-        bucket upper edges (10, 20, ..., 9990, inf as the last point)."""
+        bucket upper edges (10, 20, ..., 9990), and the last point, x =
+        10000, closes the overflow bucket of every length >= 9990 at
+        100%."""
         total = sum(self.seq_instr_sums)
         if total == 0:
             return []
@@ -187,6 +340,16 @@ class SequenceAnalyzer(Observer):
             if 2 * running >= total:
                 return (j + 1) * BUCKET_WIDTH
         return NUM_BUCKETS * BUCKET_WIDTH  # pragma: no cover
+
+
+def sequence_analyzers(log: SequenceLog,
+                       predictions_by_name: dict[str, dict[int, bool]],
+                       ) -> dict[str, SequenceAnalyzer]:
+    """One :class:`SequenceAnalyzer` per prediction map of
+    *predictions_by_name*, each computed from the finished run's *log*,
+    keyed alike."""
+    return {name: SequenceAnalyzer(preds).analyze(log)
+            for name, preds in predictions_by_name.items()}
 
 
 class BranchTrace(Observer):

@@ -40,10 +40,21 @@ proven it fits the fuel limit), mirroring tier0's do-then-check order.
 Loop iterations emit **no** per-iteration branch events.  Every completed
 iteration of a looped block takes the assumed direction at each branch —
 anything else side-exits — so its event sequence is statically known.
-Exits append one *run marker* ``(None, template, base0, iterations,
-length)`` to the pending-event list; the flush and the batched observers
-expand or aggregate it (``O(1)`` for profiles and histories instead of
-``O(iterations)``), and duck-typed observers see fully expanded events.
+Exits append one *run marker* to the pending-event list; the flush and
+the batched observers expand or aggregate it (``O(1)`` for profiles and
+histories instead of ``O(iterations)``), and duck-typed observers see
+fully expanded events.
+
+A block records in the run's event encoding (see
+:mod:`repro.sim.engine`).  In log mode an event is ``(inst, taken,
+base + K)`` and a run marker ``(None, template, base0, iterations,
+length)``.  In count mode every event is a constant id baked into the
+generated code (``2*p`` taken, ``2*p + 1`` not taken, ``2*n + p`` for an
+indirect jump at instruction index ``p`` of ``n``), so recording an
+event is one ``append`` of a constant with no tuple and no count, and
+a run marker is the block's loop id ``3*n + head`` followed by
+``~iterations`` (negative, so it cannot be mistaken for an id, and
+defined for zero iterations).
 A looped block containing folded diamonds renders in *runs* mode: the
 marker counts the run of consecutive all-assumed iterations, a fold whose
 test goes the non-assumed way flushes the run, records the iteration's
@@ -52,8 +63,9 @@ not per iteration.
 
 Block compile products are shared across machines.  The
 machine-independent :class:`BlockSpec` (generated code object, event
-offsets, line map, fold table) is cached per ``Executable`` and layout
-content in a weak-keyed module map; a fresh :class:`TraceCache` re-binds
+offsets, line map, fold table) is cached per ``Executable``, layout
+content and event encoding in a weak-keyed module map (both encodings
+render the same block shapes); a fresh :class:`TraceCache` re-binds
 specs to its own machine (rebuilding only the machine-bound iteration
 events) instead of re-forming superblocks, and negative entries (refused
 heads) are shared too.
@@ -76,9 +88,9 @@ as single-stepping.  Four mechanisms guarantee it, all off the hot path:
   the generated frame's ``f_locals`` and written back to the machine
   (a faulting statement never assigns its own destination first);
 * a fault inside a looped block reconstructs the branch events of its
-  completed iterations (run marker) and of the partial iteration up to
-  the fault offset, so event streams and crash branch histories match
-  tier0 exactly;
+  completed iterations (run marker, or loop id and ``~iterations``) and
+  of the partial iteration up to the fault offset, so event streams,
+  counts and crash branch histories match tier0 exactly;
 * the engine refuses to enter a block whose full path could cross the
   fuel limit, falling back to single-stepping so
   ``SimulationLimitExceeded`` fires at the exact instruction.
@@ -146,11 +158,11 @@ class CompiledBlock:
     """One compiled superblock; see the module docstring for the contract."""
 
     __slots__ = ("head", "head_addr", "fn", "code", "max_len", "offsets",
-                 "line_map", "prefix_defs", "source", "looped", "iter_events",
-                 "slen")
+                 "line_map", "prefix_defs", "looped", "iter_events", "slen",
+                 "loop_id")
 
     def __init__(self, head, head_addr, fn, max_len, offsets, line_map,
-                 prefix_defs, source, looped, iter_events, slen):
+                 prefix_defs, looped, iter_events, slen, loop_id=None):
         self.head = head
         self.head_addr = head_addr
         self.fn = fn
@@ -159,15 +171,19 @@ class CompiledBlock:
         self.offsets = offsets
         self.line_map = line_map
         self.prefix_defs = prefix_defs
-        self.source = source
         self.looped = looped
-        #: per-iteration (inst, assumed_taken, count_offset) branch events of
-        #: an all-assumed iteration of a looped block — the run-marker
-        #: template (empty for straight blocks)
+        #: per-iteration (event, assumed_taken, count_offset) branch events
+        #: of an all-assumed iteration of a looped block — the run-marker
+        #: template (empty for straight blocks); *event* is the branch's
+        #: instruction in log mode and its constant id in count mode
         self.iter_events = iter_events
         #: instructions an all-assumed iteration retires (== max_len unless
         #: the loop contains folds whose assumed direction skips offsets)
         self.slen = slen
+        #: count mode: the id a completed run of this looped block is
+        #: recorded under (followed by ``~iterations``); ``None`` in log
+        #: mode
+        self.loop_id = loop_id
 
 
 class BlockSpec:
@@ -180,19 +196,21 @@ class BlockSpec:
     and event sinks."""
 
     __slots__ = ("head", "head_addr", "code", "max_len", "offsets",
-                 "line_map", "prefix_defs", "source", "looped", "iter_idx",
-                 "slen")
+                 "line_map", "prefix_defs", "looped", "iter_idx",
+                 "slen", "loop_id")
 
 
-#: executable → {layout key: {head: BlockSpec | None}} — the cross-machine
-#: spec cache (``None`` records an uncompilable head so repeat machines
-#: skip the formation attempt too); entries die with their executable.
-#: The layout key is the map's *content*, so a block shape — and with it
-#: the side-exit count — never depends on which machine formed it first.
+#: executable → {(layout key, counting): {head: BlockSpec | None}} — the
+#: cross-machine spec cache (``None`` records an uncompilable head so
+#: repeat machines skip the formation attempt too); entries die with
+#: their executable.  The layout key is the map's *content*, so a block
+#: shape — and with it the side-exit count — never depends on which
+#: machine formed it first; the two event encodings render the same
+#: shapes into different code.
 _SHARED_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _specs_for(executable, layout=None) -> dict:
+def _specs_for(executable, layout=None, counting: bool = False) -> dict:
     by_layout = _SHARED_SPECS.get(executable)
     if by_layout is None:
         by_layout = {}
@@ -201,7 +219,7 @@ def _specs_for(executable, layout=None) -> dict:
         except TypeError:  # not weak-referenceable: private per-cache dict
             pass
     key = frozenset(layout.items()) if layout else None
-    return by_layout.setdefault(key, {})
+    return by_layout.setdefault((key, counting), {})
 
 
 def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
@@ -209,8 +227,12 @@ def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
     the run-marker template against the machine's instruction list and
     ``exec`` the code object with the machine's state bound as defaults."""
     insts = machine._insts
-    iter_events = tuple(
-        (insts[p], assumed, K) for p, assumed, K in spec.iter_idx)
+    if spec.loop_id is None:
+        iter_events = tuple(
+            (insts[p], assumed, K) for p, assumed, K in spec.iter_idx)
+    else:
+        iter_events = tuple((2 * p + (not assumed), assumed, K)
+                            for p, assumed, K in spec.iter_idx)
     mem = machine.memory
     env = {
         "RG": machine.regs,
@@ -237,7 +259,8 @@ def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
     exec(spec.code, env)
     return CompiledBlock(spec.head, spec.head_addr, env["_b"], spec.max_len,
                          spec.offsets, spec.line_map, spec.prefix_defs,
-                         spec.source, spec.looped, iter_events, spec.slen)
+                         spec.looped, iter_events, spec.slen,
+                         spec.loop_id)
 
 
 def compile_superblock(machine, head) -> CompiledBlock | None:
@@ -269,6 +292,9 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     tindex = machine._tindex
     layout = machine.layout or {}
     n = len(insts)
+    #: count mode (see :mod:`repro.sim.engine`): events are constant ids
+    counting = machine._counting
+    loop_id = 3 * n + head
 
     body: list[tuple[str, int | None]] = []   # (line text, block offset)
     offsets: list[int] = []
@@ -391,12 +417,29 @@ def _form_superblock(machine, head) -> BlockSpec | None:
             text = text[:a] + (wb + "; " if wb else "") + text[b + 1:]
         return text
 
+    def event(q: int, taken, count: str) -> str:
+        """Append the event of the branch at *q*: *taken* is a constant
+        outcome or the name of the local holding it; *count* the
+        retired-count expression (unused in count mode)."""
+        if not counting:
+            return f"pend((I[{q}], {taken}, {count}))"
+        if isinstance(taken, bool):
+            return f"pend({2 * q + (not taken)})"
+        return f"pend({2 * q} if {taken} else {2 * q + 1})"
+
+    def marker(b0: str, iterations: str, stride) -> list[str]:
+        """Append a run marker: *iterations* completed all-assumed
+        iterations of *stride* instructions from retired count *b0*."""
+        if counting:
+            return [f"pend({loop_id})", f"pend(~({iterations}))"]
+        return [f"pend((None, RT, {b0}, {iterations}, {stride}))"]
+
     def _partials(upto: int) -> list[str]:
         """Event appends for the assumed-path branches before assumed-event
         index *upto* in the current iteration; their counts are static
         offsets from ``base`` (on the assumed path the runtime ``ex``
         equals the static assumed skip at every point)."""
-        return [f"pend((I[{q}], {a}, base + {ke}))"
+        return [event(q, a, f"base + {ke}")
                 for q, ke, a in assumed_events[:upto]]
 
     def render_branch(text: str, mode: str, dyn_: bool,
@@ -430,11 +473,10 @@ def _form_superblock(machine, head) -> BlockSpec | None:
             if kind == "p":  # the event append
                 if compressed:
                     if post:
-                        return (f"if im: pend((I[{p}], t, "
-                                f"base + {K} - ex))")
+                        return "if im: " + event(p, "t", f"base + {K} - ex")
                     return None
                 c = f"base + {K} - ex" if dyn_ else f"base + {K}"
-                return f"pend((I[{p}], t, {c}))"
+                return event(p, "t", c)
             # kind == "i": the side-exit guard
             if compressed and not post:
                 return None
@@ -453,19 +495,17 @@ def _form_superblock(machine, head) -> BlockSpec | None:
                 # and including this branch was already pended live; on
                 # the pure path flush the run, replay the iteration's
                 # assumed events, then this branch's actual outcome
-                exprs = [f"pend((None, RT, rb0, runs, {slen}))"]
+                exprs = marker("rb0", "runs", slen)
                 exprs += _partials(ae)
-                exprs.append(f"pend((I[{p}], {not assumed}, "
-                             f"base + {K} - ex))")
+                exprs.append(event(p, not assumed, f"base + {K} - ex"))
                 joined = ", ".join(exprs)
                 return text[:a] + f"im or ({joined},); " + text[b + 1:]
             if mode == "rle":
-                parts = [f"pend((None, RT, b0, (base - b0) // {length}, "
-                         f"{length}))"]
+                parts = marker("b0", f"(base - b0) // {length}", length)
             else:  # runs-compressed: the counter tracks completed runs
-                parts = [f"pend((None, RT, rb0, runs, {slen}))"]
+                parts = marker("rb0", "runs", slen)
             parts += _partials(ae)
-            parts.append(f"pend((I[{p}], {not assumed}, base + {ke}))")
+            parts.append(event(p, not assumed, f"base + {ke}"))
             return text[:a] + "; ".join(parts) + "; " + text[b + 1:]
         return text
 
@@ -486,13 +526,13 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         if kind == "p":
             if mode == "runs":
                 return None
-            return f"pend((I[{p}], t, base + {K} - ex))"
+            return event(p, "t", f"base + {K} - ex")
         if kind == "a":
             # assumed side of a fold after the first: if the iteration
             # already diverged, the template no longer covers this event
             if mode != "runs":
                 return None
-            return f"im and pend((I[{p}], {assumed}, base + {K} - ex))"
+            return "im and " + event(p, assumed, f"base + {K} - ex")
         # kind == "d"
         if mode != "runs":
             return None
@@ -500,18 +540,23 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         if f > 0:
             # an earlier fold may already have diverged this iteration —
             # then everything up to here was pended live already
-            exprs = [f"pend((None, RT, rb0, runs, {slen}))"]
+            exprs = marker("rb0", "runs", slen)
             exprs += _partials(ae)
             joined = ", ".join(exprs)
             parts = [f"im or ({joined},)",
-                     f"pend((I[{p}], {not assumed}, base + {K} - ex))",
+                     event(p, not assumed, f"base + {K} - ex"),
                      "im = 1", "runs = 0"]
             return "; ".join(parts)
-        parts = [f"pend((None, RT, rb0, runs, {slen}))", "runs = 0",
-                 "im = 1"]
+        parts = marker("rb0", "runs", slen) + ["runs = 0", "im = 1"]
         parts += _partials(ae)
-        parts.append(f"pend((I[{p}], {not assumed}, base + {ke}))")
+        parts.append(event(p, not assumed, f"base + {ke}"))
         return "; ".join(parts)
+
+    def indirect(q: int, K: int) -> str:
+        """Append the indirect-jump event of the instruction at *q*."""
+        if counting:
+            return f"pend({2 * n + q})"
+        return f"pend((I[{q}], None, {cnt(K)}))"
 
     def emit_exit(out, k_lines, indent, target, executed):
         ret = f"return {target}, {cnt(executed)}"
@@ -834,7 +879,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
             out.append((f"{writeback()}a = {u}", k))
             out.append((f"regs[{rd}] = {ra}", k))
             out.append((f"cs.append(({inst.address}, a, {ra}))", k))
-            out.append((f"pend((I[{p}], None, {cnt(K)}))", k))
+            out.append((indirect(p, K), k))
             out.append((f"return (a - {TEXT_BASE}) // {WORD_SIZE}, "
                         f"{cnt(K)}", k))
             body.extend(out)
@@ -859,7 +904,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
                 out.append(("if cs:", k))
                 out.append((" cs.pop()", k))
             else:
-                out.append((f"pend((I[{p}], None, {cnt(K)}))", k))
+                out.append((indirect(p, K), k))
             out.append((f"return (a - {TEXT_BASE}) // {WORD_SIZE}, "
                         f"{cnt(K)}", k))
             body.extend(out)
@@ -1279,8 +1324,8 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     if mode == "rle":
         # range exhausted: the iteration at `base` completed — record the
         # whole run and hand the head back to the engine for housekeeping
-        lines.append(f" pend((None, RT, b0, (base - b0) // {length} + 1, "
-                     f"{length}))")
+        lines.extend(" " + part for part in marker(
+            "b0", f"(base - b0) // {length} + 1", length))
         lines.append(" " + render_writeback(writeback(), True) +
                      f"return {head}, base + {length}")
     elif mode == "runs":
@@ -1294,7 +1339,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         lines.append("  else:")
         lines.append("   runs += 1")
         lines.append(f"  if base + {length} > stop:")
-        lines.append(f"   pend((None, RT, rb0, runs, {slen}))")
+        lines.extend("   " + part for part in marker("rb0", "runs", slen))
         lines.append("   " + render_writeback(writeback(), True) +
                      f"return {head}, base")
 
@@ -1318,12 +1363,12 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     spec.offsets = tuple(offsets)
     spec.line_map = line_map
     spec.prefix_defs = prefix
-    spec.source = source
     spec.looped = looped
     spec.iter_idx = tuple(
         (p, assumed, K) for p, K, assumed in assumed_events
     ) if looped else ()
     spec.slen = slen
+    spec.loop_id = loop_id if counting else None
     return spec
 
 
@@ -1335,7 +1380,7 @@ class TraceCache:
     Formation and bytecode compilation go through the per-executable
     :class:`BlockSpec` cache, so a fresh machine over an already-traced
     executable (the common pipeline shape: one profiling pass per
-    dataset, then one sequence pass) pays only a cheap re-bind per block
+    dataset) pays only a cheap re-bind per block
     instead of recompiling."""
 
     def __init__(self, machine):
@@ -1344,7 +1389,8 @@ class TraceCache:
         self.code_map: dict = {}
         self.blacklist: set[int] = set()
         self.compiled = 0
-        self._specs = _specs_for(machine.executable, machine.layout)
+        self._specs = _specs_for(machine.executable, machine.layout,
+                                 machine._counting)
 
     def compile(self, head) -> CompiledBlock | None:
         if self.compiled >= MAX_BLOCKS or head in self.blacklist:
@@ -1407,27 +1453,36 @@ def recover_block_fault(cache: TraceCache, exc: BaseException,
         ex = 0
     if block.looped and block.iter_events:
         pending = machine._pending
+        lid = block.loop_id
+
+        def run(b0, iterations, stride):
+            if lid is None:
+                pending.append(
+                    (None, block.iter_events, b0, iterations, stride))
+            else:
+                pending.append(lid)
+                pending.append(~iterations)
+
+        def partial(upto):
+            for ev, assumed, K in block.iter_events:
+                if K <= upto:
+                    pending.append(ev if lid is not None
+                                   else (ev, assumed, base + K))
+
         b0 = locs.get("b0")
         if isinstance(b0, int):
             # RLE loop: completed iterations derive from the range driver
-            pending.append(
-                (None, block.iter_events, b0, (base - b0) // block.max_len,
-                 block.max_len))
-            for inst, assumed, K in block.iter_events:
-                if K <= k:
-                    pending.append((inst, assumed, base + K))
+            run(b0, (base - b0) // block.max_len, block.max_len)
+            partial(k)
         else:
             # runs-compressed loop: the generated code tracks the run
             rb0, runs = locs.get("rb0"), locs.get("runs")
             if isinstance(rb0, int) and isinstance(runs, int):
-                pending.append(
-                    (None, block.iter_events, rb0, runs, block.slen))
+                run(rb0, runs, block.slen)
                 if not locs.get("im"):
                     # fault on the assumed path: replay its events up to
                     # the fault (a diverged iteration pended them already)
-                    for inst, assumed, K in block.iter_events:
-                        if K <= k - ex:
-                            pending.append((inst, assumed, base + K))
+                    partial(k - ex)
     for kind, idx in block.prefix_defs[k]:
         if kind == "r":
             v = locs.get(f"r{idx}")

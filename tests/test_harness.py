@@ -18,7 +18,7 @@ from repro.harness import (
 )
 from repro.harness import graphs, tables
 from repro.harness.tables import heuristic_table, order_data_for
-from repro.sim import FORCE_TIER0_ENV, Machine, SequenceAnalyzer
+from repro.sim import FORCE_TIER0_ENV, Machine, SequenceLog
 from repro.telemetry import Telemetry
 
 
@@ -247,7 +247,7 @@ def machines(monkeypatch):
     def spy(self, *args, **kwargs):
         original(self, *args, **kwargs)
         built.append(SimpleNamespace(
-            sequences=any(isinstance(ob, SequenceAnalyzer)
+            sequences=any(isinstance(ob, SequenceLog)
                           for ob in self.observers),
             inputs=tuple(self.inputs), fuel=self.max_instructions,
             memory=kwargs.get("max_memory_bytes"),

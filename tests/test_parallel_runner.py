@@ -308,8 +308,11 @@ class TestReportBatch:
 
     def test_sequence_passes_ride_in_the_batch(self, monkeypatch):
         argv = ["--benchmarks", "quad,scc", "--tables", "", "--graphs", "4"]
-        serial = cli_report(*argv)
         calls = spy_machine_runs(monkeypatch)
+        serial = cli_report(*argv)
+        # each simulation runs once: the ref profile runs log the traces
+        assert len(calls) == 2
+        del calls[:]
         assert cli_report(*argv, "--jobs", "2") == serial
         assert "Graph (sequences) quad" in serial
         assert calls == []
@@ -357,16 +360,21 @@ class TestBatchSequencePass:
     @staticmethod
     def fail_pass(patch, in_parent: bool) -> None:
         """Make every sequence pass in a worker (and, with *in_parent*,
-        in this process too) fail; workers inherit the patch."""
+        in this process too) fail; workers inherit the patch.  A pass is
+        the analysis of a profile run's own log
+        (``sequence_analyzers``) or a re-simulation
+        (``sequence_experiment``); both fail."""
         parent = os.getpid()
-        real = parallel.sequence_experiment
+        for name in ("sequence_analyzers", "sequence_experiment"):
+            real = getattr(parallel, name)
 
-        def failing(*args, **kwargs):
-            if in_parent or os.getpid() != parent:
-                raise SimulationLimitExceeded("injected sequence failure")
-            return real(*args, **kwargs)
+            def failing(*args, real=real, **kwargs):
+                if in_parent or os.getpid() != parent:
+                    raise SimulationLimitExceeded(
+                        "injected sequence failure")
+                return real(*args, **kwargs)
 
-        patch.setattr(parallel, "sequence_experiment", failing)
+            patch.setattr(parallel, name, failing)
 
     def test_batch_fills_the_sequence_memo(self, serial_sequences,
                                            monkeypatch):
@@ -495,6 +503,43 @@ class TestWorkerCrash:
                                 cache_dir=cache_dir)
         outcomes = {o.benchmark: o for o in recovered.all_outcomes("ref")}
         assert outcomes["fields"].ok
+
+
+def _garbage_shard(job):
+    """A pool worker that returns garbage: a plain object for queens, a
+    result naming another benchmark for fields, the real result else."""
+    if job.benchmark == "queens":
+        return object()
+    result = run_shard(job)
+    if job.benchmark == "fields":
+        result.benchmark = "gauss"
+    return result
+
+
+class TestMalformedWorkerResult:
+    """The "worker returns garbage" row of docs/robustness.md: a result
+    that is not this job's :class:`ShardResult` fails typed, and its
+    siblings are unaffected."""
+
+    def test_garbage_results_fail_typed(self, monkeypatch):
+        from repro.errors import WorkerResultError
+        # forked workers inherit the patch; the engine looks the name up
+        # when it submits
+        monkeypatch.setattr(parallel, "run_shard", _garbage_shard)
+        runner = SuiteRunner(MINI_SUITE)
+        jobs = [runner._shard_job(name, "small") for name in MINI_SUITE]
+        sink = Telemetry()
+        with telemetry.use(sink):
+            results = parallel.ParallelEngine(2).execute(jobs)
+        assert [r.benchmark for r in results] == MINI_SUITE
+        for result in results[:2]:
+            assert result.status is RunStatus.WORKER_FAILED
+            assert isinstance(result.error, WorkerResultError)
+            assert "malformed result" in str(result.error)
+        assert results[2].ok and results[2].profile is not None
+        counters = sink.counters()
+        assert counters["harness.parallel.result_errors"] == 2
+        assert counters.get("harness.parallel.worker_crashes", 0) == 0
 
 
 # -- tier 2: full-suite determinism -------------------------------------------

@@ -57,8 +57,9 @@ class TestSequenceAnalyzerEmptyTrace:
 
     def test_missing_prediction_raises(self):
         an = SequenceAnalyzer({})
+        an.on_branch(branch_at(0x400000), True, 10)
         with pytest.raises(KeyError):
-            an.on_branch(branch_at(0x400000), True, 10)
+            an.on_finish(10)
 
 
 class TestSequenceAnalyzerSingleBreak:

@@ -109,16 +109,19 @@ class TestSequenceAnalyzer:
         jalr = Instruction(op=OPCODES_BY_NAME["jalr"], rd=31, rs=8,
                            address=4)
         sa.on_indirect(jalr, 12)
+        sa.on_finish(12)
         assert sa.n_breaks == 1
 
     def test_missing_prediction_raises(self):
         sa = SequenceAnalyzer({})
+        sa.on_branch(branch_at(123), True, 1)
         with pytest.raises(KeyError):
-            sa.on_branch(branch_at(123), True, 1)
+            sa.on_finish(1)
 
     def test_overflow_bucket(self):
         sa = SequenceAnalyzer({100: True}, include_trailing=False)
         sa.on_branch(branch_at(100), False, 50_000)
+        sa.on_finish(50_000)
         assert sa.seq_counts[NUM_BUCKETS - 1] == 1
 
     def test_ipbc_average(self):

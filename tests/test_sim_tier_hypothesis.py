@@ -101,6 +101,18 @@ class TestTierProperty:
         assert m1.memory._pages == m0.memory._pages, source
         assert list(p1.items()) == list(p0.items()), source
         assert t1.events == t0.events, source
+        # count mode (an edge profile alone) counts the same branches
+        for tier in ("tier0", "tier1"):
+            counted = EdgeProfile()
+            machine = Machine(executable, observers=[counted], engine=tier,
+                              max_instructions=20_000_000, layout=layout)
+            with watched_formations():
+                status = machine.run()
+            assert list(counted.items()) == list(p0.items()), source
+            assert counted.total_dynamic_branches == s0.dynamic_branches
+            assert status.dynamic_branches == s0.dynamic_branches
+            assert list(machine._branch_history) \
+                == list(m0._branch_history), source
         # ... and both match the independent reference semantics
         assert [int(x) for x in s1.output.split()] == expected, source
 
@@ -126,10 +138,14 @@ class TestTierProperty:
         layout = data.draw(layouts(executable), label="layout")
         reports = {}
         for tier in ("tier0", "tier1"):
-            machine = Machine(executable, engine=tier,
-                              max_instructions=budget, layout=layout)
-            with watched_formations(), \
-                    pytest.raises(SimulationLimitExceeded) as excinfo:
-                machine.run()
-            reports[tier] = dataclasses.asdict(excinfo.value.crash_report)
-        assert reports["tier0"] == reports["tier1"], source
+            # no observer: count mode; a branch trace: log mode
+            for observers in ([], [BranchTrace()]):
+                machine = Machine(executable, engine=tier,
+                                  max_instructions=budget, layout=layout,
+                                  observers=observers)
+                with watched_formations(), \
+                        pytest.raises(SimulationLimitExceeded) as excinfo:
+                    machine.run()
+                reports[tier, len(observers)] = dataclasses.asdict(
+                    excinfo.value.crash_report)
+        assert len({repr(r) for r in reports.values()}) == 1, source

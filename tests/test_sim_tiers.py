@@ -11,6 +11,10 @@ and on the full benchmark suite; plus the engine-selection seams, the
 run-key engine fingerprint, shared block specs across machines, and
 the deadline-overshoot / tick-accounting bounds of both tiers.
 
+Every differential also checks count mode (an edge profile as the only
+observer, so branch events are counted as ids) against the ordered
+stream: same profile, branch count and crash history.
+
 The mode, mini-suite and fault differentials run under three superblock
 layouts: none (backward-taken/forward-not-taken), the program's
 Ball–Larus prediction, and that prediction inverted — the last forces
@@ -153,6 +157,22 @@ def run_tier(executable, tier, inputs=None, sink=None, **kw):
     return machine.run(), machine, profile, trace
 
 
+def count_mode_run(executable, tier, inputs=None, **kw):
+    """A run whose only observer is an edge profile — count mode; returns
+    (status, profile, the machine's branch history)."""
+    profile = EdgeProfile()
+    machine = Machine(executable, inputs=list(inputs) if inputs else None,
+                      observers=[profile], engine=tier, **kw)
+    status = machine.run()
+    assert machine._counting
+    return status, profile, list(machine._branch_history)
+
+
+def profile_fields(profile):
+    return (list(profile.items()), profile.total_dynamic_branches,
+            profile.total_instructions)
+
+
 def assert_tiers_agree(executable, inputs=None, **kw):
     s0, m0, p0, t0 = run_tier(executable, "tier0", inputs, **kw)
     s1, m1, p1, t1 = run_tier(executable, "tier1", inputs, **kw)
@@ -165,6 +185,15 @@ def assert_tiers_agree(executable, inputs=None, **kw):
     assert m1.memory._pages == m0.memory._pages
     assert list(p1.items()) == list(p0.items())
     assert t1.events == t0.events
+    # count mode: the same profile, branch count and branch history on
+    # both tiers as the ordered stream gives
+    for tier in TIERS:
+        status, profile, history = count_mode_run(executable, tier, inputs,
+                                                  **kw)
+        assert profile_fields(profile) == profile_fields(p0), tier
+        assert status.dynamic_branches == s0.dynamic_branches, tier
+        assert status.output == s0.output, tier
+        assert history == list(m0._branch_history), tier
     return s0
 
 
@@ -227,6 +256,26 @@ class TestTierDifferential:
             rates[tier] = (bimodal.n_branches, bimodal.miss_rate)
         assert streams["tier1"] == streams["tier0"]
         assert rates["tier1"] == rates["tier0"]
+
+    @pytest.mark.tier2
+    def test_count_mode_profiles_every_dataset(self):
+        """Every benchmark x dataset, under the report's layout: the
+        count-mode edge profile equals the log-mode one."""
+        from repro.bench.suite import suite
+        for bench in suite():
+            exe = bench.compile()
+            layout = ball_larus(exe)
+            for dataset in bench.datasets:
+                logged = EdgeProfile()
+                Machine(exe, inputs=list(dataset.inputs),
+                        observers=[logged, BranchTrace(limit=0)],
+                        layout=layout).run()
+                status, counted, _ = count_mode_run(
+                    exe, "tier1", dataset.inputs, layout=layout)
+                assert profile_fields(counted) == profile_fields(logged), \
+                    (bench.name, dataset.name)
+                assert status.dynamic_branches == \
+                    logged.total_dynamic_branches
 
     @pytest.mark.tier2
     def test_full_suite_agrees(self, formations):
@@ -418,14 +467,27 @@ class TestWatchdogAccounting:
 
 
 def crash_fields(executable, tier, inputs=None, **kw):
-    """Run to the fault and return the crash report as a plain dict."""
-    machine = Machine(executable, inputs=list(inputs) if inputs else None,
-                      engine=tier, **kw)
-    with pytest.raises(ReproError) as excinfo:
-        machine.run()
-    report = excinfo.value.crash_report
-    assert report is not None
-    return type(excinfo.value), dataclasses.asdict(report)
+    """Run to the fault and return the crash report as a plain dict,
+    with the edge profile of the faulted run.
+
+    The run is made in count mode (an edge profile only) and again in
+    log mode (plus a branch trace); both must fault identically — the
+    count-mode crash history is decoded from branch ids."""
+    results = []
+    for extra in ([], [BranchTrace()]):
+        profile = EdgeProfile()
+        machine = Machine(executable,
+                          inputs=list(inputs) if inputs else None,
+                          engine=tier, observers=[profile, *extra], **kw)
+        with pytest.raises(ReproError) as excinfo:
+            machine.run()
+        report = excinfo.value.crash_report
+        assert report is not None
+        assert machine._counting == (not extra)
+        results.append((type(excinfo.value), dataclasses.asdict(report),
+                        profile_fields(profile)))
+    assert results[0] == results[1]
+    return results[0]
 
 
 class TestFaultByteIdentity:
@@ -451,6 +513,28 @@ class TestFaultByteIdentity:
             assert crash_fields(exe, "tier0", inputs=inputs,
                                 layout=layout) == \
                 crash_fields(exe, "tier1", inputs=inputs, layout=layout), kind
+
+    def test_fault_inside_a_looped_block_reports_identical(self,
+                                                           formations):
+        """A division by zero mid-iteration of a hot loop: Tier 1 faults
+        inside a looped superblock and must rebuild the completed
+        iterations and the partial one — as a run marker in log mode,
+        as the loop id and ``~iterations`` in count mode."""
+        exe = compile_and_link("""
+        int main() {
+            int i, s = 0;
+            for (i = 100; i > 0; i--) {
+                if (i > 1000) { s = s - 7; }
+                if (s >= 0) { s = s + 1; }
+                s = s + 1000 / (i - 50);
+            }
+            print_int(s);
+            return 0;
+        }
+        """)
+        for kind, layout in layouts(exe).items():
+            assert crash_fields(exe, "tier0", layout=layout) == \
+                crash_fields(exe, "tier1", layout=layout), kind
 
     def test_memory_budget_reports_identical(self, formations):
         exe = compile_and_link("""

@@ -12,9 +12,12 @@ disabled; asserting the stronger property bounds the disabled overhead
 from above.
 
 Timing tests are noisy: we take the best of several alternating runs and
-allow one retry before failing.
+allow one retry before failing.  Each timed run starts from a fresh
+``gc.collect()``, so a generation-2 collection over garbage that earlier
+tests left alive does not land in one arm only.
 """
 
+import gc
 from time import perf_counter
 
 from repro.bcc.driver import compile_and_link
@@ -41,6 +44,10 @@ ROUNDS = 3
 
 def _time_run(executable, sink) -> float:
     machine = Machine(executable, telemetry=sink)
+    # collect garbage other tests left behind now, so that neither arm
+    # pays for it; the collector stays on, so each arm still pays for
+    # the collections its own run triggers
+    gc.collect()
     start = perf_counter()
     machine.run()
     return perf_counter() - start
