@@ -16,8 +16,8 @@ Options:
     --jobs N         run every simulation the selected tables and graphs
                      need (each (benchmark, dataset) run, the Graphs 4-11
                      traces riding in their profile runs) in one batch
-                     across N worker processes; compiles stay in this
-                     process (see docs/performance.md)
+                     across N worker processes, one task per benchmark
+                     that compiles it once (see docs/performance.md)
     --cache DIR      persistent artifact cache (defaults to
                      $REPRO_CACHE_DIR when set); --no-cache forces off
     --telemetry DIR  record spans + metrics; write a full report bundle
@@ -271,12 +271,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.jobs > 1:
                 with tm.span("prefetch", category="harness",
                              runs=len(pairs), sequences=len(sequences)):
-                    # compile once here so every shard ships preseeded;
-                    # a failure is memoized and surfaces where a serial
-                    # report would meet it
-                    for name in dict.fromkeys(name for name, _ in pairs):
-                        with contextlib.suppress(ReproError):
-                            runner.compiled(name)
                     runner.prefetch(pairs)
 
             for number in sorted(tables):

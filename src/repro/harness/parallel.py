@@ -10,10 +10,12 @@ back as a classified :class:`ShardResult`.  Two callers share it:
 
 * the serial :class:`~repro.harness.runner.SuiteRunner` calls it inline
   with its own cache and compiled artifact;
-* :class:`ParallelEngine` maps :func:`run_shard` over a fork-based
-  :class:`concurrent.futures.ProcessPoolExecutor` (Ball & Larus's
-  methodology is embarrassingly parallel: every (benchmark, dataset) edge
-  profile is independent of every other).
+* :class:`ParallelEngine` submits one :func:`run_task` per benchmark to a
+  fork-based :class:`concurrent.futures.ProcessPoolExecutor` (Ball &
+  Larus's methodology is embarrassingly parallel: every (benchmark,
+  dataset) edge profile is independent of every other).  A task runs its
+  benchmark's shards in order through :func:`run_shard`, compiling once
+  and reusing that executable, so its superblock specs are formed once.
 
 :func:`run_shard` adds only what a worker needs around the core: the
 crash seam, a private telemetry sink whose snapshot the parent merges,
@@ -27,8 +29,8 @@ completion order, so downstream table/graph output is byte-identical to a
 serial run (the determinism suite in ``tests/test_parallel_runner.py``
 enforces this), and converts a worker process that dies without returning
 (killed, OOM, broken pool) into a typed
-:class:`~repro.errors.WorkerCrashError` outcome rather than aborting the
-whole report.
+:class:`~repro.errors.WorkerCrashError` outcome for the culprit shard
+alone rather than aborting the whole report.
 
 Chaos seam: setting the environment variable
 ``REPRO_CHAOS_WORKER_CRASH=<benchmark>`` makes any worker handed that
@@ -43,7 +45,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from repro import telemetry as _telemetry
@@ -66,11 +68,12 @@ from repro.sim import (
     sequence_analyzers,
 )
 from repro.sim.profile import EdgeProfile
+from repro.sim.traces import drop_specs
 from repro.telemetry.core import Telemetry, TelemetrySnapshot
 
 __all__ = [
     "ShardJob", "ShardResult", "ParallelEngine", "execute", "run_shard",
-    "compile_artifact", "logged_sequences", "sequence_pass",
+    "run_task", "compile_artifact", "logged_sequences", "sequence_pass",
     "CHAOS_WORKER_CRASH_ENV",
 ]
 
@@ -405,17 +408,46 @@ def run_shard(job: ShardJob) -> ShardResult:
     return result
 
 
+def run_task(jobs: list[ShardJob]) -> list[ShardResult]:
+    """Pool task entry: one benchmark's shards, in order, through
+    :func:`run_shard`.  Once a run returns the artifact, the remaining
+    jobs are preseeded with it: one compile, one echo to the parent, and
+    one set of superblock specs, dropped when the task ends.  A compile
+    failure answers every remaining job."""
+    results: list[ShardResult] = []
+    artifact = compile_error = None
+    for job in jobs:
+        if compile_error is not None:
+            results.append(_failure(job, compile_error))
+            continue
+        if artifact is not None:
+            job = replace(job, preseeded=artifact)
+        result = run_shard(job)
+        results.append(result)
+        if not isinstance(result, ShardResult):
+            continue  # the parent fails it as malformed
+        if result.status is RunStatus.COMPILE_FAILED:
+            compile_error = result.error
+        elif result.ok and result.executable is not None:
+            artifact = (result.executable, result.analysis)
+    for seeded in (artifact, *(job.preseeded for job in jobs)):
+        if seeded is not None:
+            drop_specs(seeded[0])
+    return results
+
+
 # --------------------------------------------------------------------------
 # the engine
 # --------------------------------------------------------------------------
 
 class ParallelEngine:
-    """Shards :class:`ShardJob` orders across a process pool.
+    """Shards :class:`ShardJob` orders across a process pool, one
+    :func:`run_task` per benchmark.
 
     Parameters
     ----------
     jobs:
-        Worker-process count (capped at the job count per batch).
+        Worker-process count (capped at the task count per batch).
     start_method:
         Multiprocessing start method; defaults to ``fork`` where
         available (instant workers, no re-import) and falls back to the
@@ -436,38 +468,47 @@ class ParallelEngine:
     def execute(self, shard_jobs: list[ShardJob]) -> list[ShardResult]:
         """Run every job; one :class:`ShardResult` per job, in order.
 
-        A worker that dies without returning produces a
-        ``WORKER_FAILED`` result wrapping
-        :class:`~repro.errors.WorkerCrashError`; an undecodable result
-        produces one wrapping :class:`~repro.errors.WorkerResultError`.
+        The jobs are grouped by benchmark, in first-appearance order, and
+        each group is one pool task (:func:`run_task`).  A worker that
+        dies without returning produces a ``WORKER_FAILED`` result
+        wrapping :class:`~repro.errors.WorkerCrashError`; an undecodable
+        result produces one wrapping
+        :class:`~repro.errors.WorkerResultError`.
         """
         if not shard_jobs:
             return []
         tm = _telemetry.get()
         context = multiprocessing.get_context(self.start_method)
-        workers = min(self.jobs, len(shard_jobs))
+        by_benchmark: dict[str, list[int]] = {}
+        for index, job in enumerate(shard_jobs):
+            by_benchmark.setdefault(job.benchmark, []).append(index)
+        tasks = [(indices, [shard_jobs[i] for i in indices])
+                 for indices in by_benchmark.values()]
+        workers = min(self.jobs, len(tasks))
         start = perf_counter()
-        results: list[ShardResult] = []
+        results: list[ShardResult] = [None] * len(shard_jobs)
         with tm.span("parallel:pool", category="harness",
-                     jobs=len(shard_jobs), workers=workers,
-                     start_method=self.start_method):
+                     jobs=len(shard_jobs), tasks=len(tasks),
+                     workers=workers, start_method=self.start_method):
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=context) as pool:
-                futures = [pool.submit(run_shard, job) for job in shard_jobs]
-                for job, future in zip(shard_jobs, futures):
-                    results.append(self._collect(job, future, tm))
+                futures = [(indices, jobs, pool.submit(run_task, jobs))
+                           for indices, jobs in tasks]
+                for indices, jobs, future in futures:
+                    for index, result in zip(
+                            indices, self._collect(jobs, future, tm)):
+                        results[index] = result
             # Crash isolation: one worker dying abruptly breaks the whole
             # ProcessPoolExecutor, poisoning every sibling future with
-            # BrokenProcessPool.  Retry each crashed shard in its own
-            # single-worker pool so innocent shards recover and only the
-            # true culprit reports WORKER_FAILED.
-            crashed = [i for i, r in enumerate(results)
-                       if r.status is RunStatus.WORKER_FAILED
-                       and isinstance(r.error, WorkerCrashError)]
-            if crashed:
-                for i in crashed:
-                    results[i] = self._run_isolated(shard_jobs[i], context,
-                                                    tm)
+            # BrokenProcessPool, and a dead task loses all its jobs.
+            # Retry each crashed shard in its own single-worker pool so
+            # innocent shards recover and only the true culprit reports
+            # WORKER_FAILED.
+            for index, result in enumerate(results):
+                if (result.status is RunStatus.WORKER_FAILED
+                        and isinstance(result.error, WorkerCrashError)):
+                    results[index] = self._run_isolated(shard_jobs[index],
+                                                        context, tm)
         for result in results:
             if (result.status is RunStatus.WORKER_FAILED
                     and isinstance(result.error, WorkerCrashError)):
@@ -483,36 +524,39 @@ class ParallelEngine:
                      benchmark=job.benchmark, dataset=job.dataset):
             with ProcessPoolExecutor(max_workers=1,
                                      mp_context=context) as pool:
-                return self._collect(job, pool.submit(run_shard, job), tm)
+                (result,) = self._collect(
+                    [job], pool.submit(run_task, [job]), tm)
+                return result
 
     @staticmethod
-    def _collect(job: ShardJob, future, tm) -> ShardResult:
+    def _collect(jobs: list[ShardJob], future, tm) -> list[ShardResult]:
+        """One task's results, one per job in order, each checked to be
+        that job's :class:`ShardResult`."""
         try:
-            result = future.result()
+            results = future.result()
         except (BrokenProcessPool, OSError) as exc:
-            error = WorkerCrashError(
+            return [_failure(job, WorkerCrashError(
                 f"worker process died before returning "
                 f"{job.benchmark}/{job.dataset}: "
                 f"{type(exc).__name__}: {exc}",
-                benchmark=job.benchmark, dataset=job.dataset)
-            return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
-                               status=RunStatus.WORKER_FAILED, error=error)
+                benchmark=job.benchmark, dataset=job.dataset))
+                for job in jobs]
         except Exception as exc:
-            tm.counter("harness.parallel.result_errors").inc()
-            error = WorkerResultError(
+            tm.counter("harness.parallel.result_errors").inc(len(jobs))
+            return [_failure(job, WorkerResultError(
                 f"worker result for {job.benchmark}/{job.dataset} "
                 f"could not be retrieved: {type(exc).__name__}: {exc}",
-                benchmark=job.benchmark, dataset=job.dataset)
-            return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
-                               status=RunStatus.WORKER_FAILED, error=error)
-        if (not isinstance(result, ShardResult)
-                or result.benchmark != job.benchmark
-                or result.dataset != job.dataset):
-            tm.counter("harness.parallel.result_errors").inc()
-            error = WorkerResultError(
-                f"worker returned a malformed result for "
-                f"{job.benchmark}/{job.dataset}",
-                benchmark=job.benchmark, dataset=job.dataset)
-            return ShardResult(benchmark=job.benchmark, dataset=job.dataset,
-                               status=RunStatus.WORKER_FAILED, error=error)
-        return result
+                benchmark=job.benchmark, dataset=job.dataset))
+                for job in jobs]
+        checked = []
+        for job, result in zip(jobs, results):
+            if (not isinstance(result, ShardResult)
+                    or result.benchmark != job.benchmark
+                    or result.dataset != job.dataset):
+                tm.counter("harness.parallel.result_errors").inc()
+                result = _failure(job, WorkerResultError(
+                    f"worker returned a malformed result for "
+                    f"{job.benchmark}/{job.dataset}",
+                    benchmark=job.benchmark, dataset=job.dataset))
+            checked.append(result)
+        return checked

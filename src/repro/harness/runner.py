@@ -32,12 +32,13 @@ Scale-out (see docs/performance.md):
     :meth:`SuiteRunner.prefetch` executes a batch of missing (benchmark,
     dataset) shards, optionally with their Graphs 4-11 sequence analyzers,
     through :class:`~repro.harness.parallel.ParallelEngine`, whose
-    workers run the same core and whose results are adopted in
-    submission order — table/graph output is byte-identical to a serial
-    run.  ``python -m repro.harness`` runs one batch for the whole
-    report; :meth:`SuiteRunner.all_outcomes` prefetches the ``ref`` runs
-    of callers that skip it.  Worker telemetry snapshots are folded into
-    the parent sink under per-shard ``parallel:shard`` spans.
+    workers run the same core, one task per benchmark (one compile), and
+    whose results are adopted in submission order — table/graph output
+    is byte-identical to a serial run.  ``python -m repro.harness`` runs
+    one batch for the whole report; :meth:`SuiteRunner.all_outcomes`
+    prefetches the ``ref`` runs of callers that skip it.  Worker
+    telemetry snapshots are folded into the parent sink under per-shard
+    ``parallel:shard`` spans.
 
 ``cache_dir=PATH``
     Every compile, run, and Graphs 4-11 sequence pass additionally
@@ -452,13 +453,16 @@ class SuiteRunner:
         one parallel batch; returns the shard count.
 
         Populates the memo caches so the subsequent serial walk (tables,
-        graphs, :meth:`outcome`) is all hits.  *with_sequences* is
+        graphs, :meth:`outcome`) is all hits.  Each benchmark is one pool
+        task: its first shard compiles in the worker (unless this runner
+        already holds the artifact) and the rest reuse it, so nothing is
+        compiled here.  *with_sequences* is
         declared (:meth:`declare_sequences`), so those shards compute
         their sequence analyzers in the worker; a pass that fails there
         is not memoized, so :meth:`sequences` re-runs it and raises or
         renders it exactly as a serial run does.  Runs no batch when
-        ``parallelism`` is 1 or fewer than two shards are missing (pool
-        overhead would exceed the win).
+        ``parallelism`` is 1 or fewer than two benchmarks are missing (a
+        pool of one task is pure overhead; those runs stay serial).
         """
         self.declare_sequences(with_sequences)
         if self.parallelism <= 1:
@@ -470,7 +474,7 @@ class SuiteRunner:
                    if self._needs_run(name, dataset) else None)
             if job is not None:
                 jobs.append(job)
-        if len(jobs) < 2:
+        if len({job.benchmark for job in jobs}) < 2:
             return 0
         tm = _telemetry.get()
         offset_us = (int((perf_counter() - tm.epoch) * 1e6)

@@ -411,6 +411,7 @@ class Tier1Engine(_EngineBase):
         side_cell = m._side_exit_cell
         se_start = side_cell[0]
         compiled_start = cache.compiled
+        formed_start = cache.formed
         hits = 0
         misses = 0
         residency: dict[int, int] = {}
@@ -419,6 +420,7 @@ class Tier1Engine(_EngineBase):
         def tier_stats():
             return {
                 "compiled": cache.compiled - compiled_start,
+                "formed": cache.formed - formed_start,
                 "hits": hits,
                 "misses": misses,
                 "side_exits": side_cell[0] - se_start,

@@ -400,6 +400,8 @@ class Machine:
         if tier_stats is not None:
             tm.counter("sim.tier1.superblocks_compiled").inc(
                 tier_stats["compiled"])
+            tm.counter("sim.tier1.superblocks_formed").inc(
+                tier_stats["formed"])
             tm.counter("sim.tier1.trace_cache_hits").inc(tier_stats["hits"])
             tm.counter("sim.tier1.trace_cache_misses").inc(
                 tier_stats["misses"])

@@ -111,8 +111,8 @@ from repro.isa.program import TEXT_BASE, WORD_SIZE
 from repro.sim.decode import HALT_INDEX
 
 __all__ = ["CompiledBlock", "TraceCache", "recover_block_fault",
-           "compile_superblock", "MAX_BLOCK_LEN", "HOT_THRESHOLD",
-           "MAX_BLOCKS"]
+           "compile_superblock", "drop_specs", "MAX_BLOCK_LEN",
+           "HOT_THRESHOLD", "MAX_BLOCKS"]
 
 #: Longest path a superblock may cover (also bounds fuel/watchdog overshoot).
 MAX_BLOCK_LEN = 128
@@ -220,6 +220,12 @@ def _specs_for(executable, layout=None, counting: bool = False) -> dict:
             pass
     key = frozenset(layout.items()) if layout else None
     return by_layout.setdefault((key, counting), {})
+
+
+def drop_specs(executable) -> None:
+    """Forget every shared spec of *executable* now, instead of when it
+    dies (a pool task is done with its benchmark)."""
+    _SHARED_SPECS.pop(executable, None)
 
 
 def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
@@ -1381,7 +1387,8 @@ class TraceCache:
     :class:`BlockSpec` cache, so a fresh machine over an already-traced
     executable (the common pipeline shape: one profiling pass per
     dataset) pays only a cheap re-bind per block
-    instead of recompiling."""
+    instead of recompiling.  ``formed`` counts spec-cache misses,
+    ``compiled`` blocks bound."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -1389,6 +1396,7 @@ class TraceCache:
         self.code_map: dict = {}
         self.blacklist: set[int] = set()
         self.compiled = 0
+        self.formed = 0
         self._specs = _specs_for(machine.executable, machine.layout,
                                  machine._counting)
 
@@ -1399,6 +1407,7 @@ class TraceCache:
         if head in specs:
             spec = specs[head]
         else:
+            self.formed += 1
             try:
                 spec = _form_superblock(self.machine, head)
             except Exception:

@@ -27,7 +27,9 @@ import pytest
 
 from repro import telemetry
 from repro.core import orders
-from repro.errors import SimulationLimitExceeded, WorkerCrashError, WorkerError
+from repro.errors import (
+    ReproError, SimulationLimitExceeded, WorkerCrashError, WorkerError,
+)
 from repro.harness import (
     SEQUENCE_BENCHMARKS, RunStatus, SuiteRunner,
     graph1, graph13, graphs2_3, graphs4_11,
@@ -35,8 +37,10 @@ from repro.harness import (
 )
 from repro.harness import parallel
 from repro.harness.__main__ import main as harness_main, report_demand
-from repro.harness.parallel import CHAOS_WORKER_CRASH_ENV, run_shard
-from repro.sim import Machine
+from repro.harness.parallel import (
+    CHAOS_WORKER_CRASH_ENV, run_shard, run_task,
+)
+from repro.sim import Machine, traces
 from repro.telemetry import Telemetry
 from repro.testing.chaos import sabotage
 
@@ -276,14 +280,31 @@ class TestReportBatch:
         events = span_events(bundle)
         pools = [e for e in events if e["name"] == "parallel:pool"]
         assert [e["args"]["jobs"] for e in pools] == [3 * len(MINI_SUITE)]
-        # every benchmark compiles once, in the parent, before the pool
-        (prefetch,) = [e for e in events if e["name"] == "prefetch"]
-        assert [e["parent_id"] for e in events if e["name"] == "compile"] \
-            == [prefetch["span_id"]] * len(MINI_SUITE)
+        # every benchmark compiles once, in the worker task that runs its
+        # shards: under a merged shard span, none in the parent
+        by_id = {e["span_id"]: e for e in events}
+
+        def ancestors(event):
+            while event["parent_id"] in by_id:
+                event = by_id[event["parent_id"]]
+                yield event["name"]
+
+        compiles = [e for e in events if e["name"] == "compile"]
+        assert sorted(e["args"]["benchmark"] for e in compiles) \
+            == sorted(MINI_SUITE)
+        for event in compiles:
+            names = list(ancestors(event))
+            assert "parallel:shard" in names
+            assert names[0] != "prefetch"
         counters = json.loads(
             (bundle / "telemetry.json").read_text())["counters"]
         assert counters["harness.parallel.shards"] == 3 * len(MINI_SUITE)
         assert counters["sim.runs"] == 3 * len(MINI_SUITE)
+        # one task per benchmark forms its superblocks once, as serial
+        serial = json.loads(
+            (reports["1"][2] / "telemetry.json").read_text())["counters"]
+        assert counters["sim.tier1.superblocks_formed"] \
+            == serial["sim.tier1.superblocks_formed"] > 0
 
     def test_every_section_has_a_span_under_report(self, reports):
         sections = ["table1", "table2", "table3", "table4", "table5",
@@ -330,16 +351,122 @@ class TestReportBatch:
         assert sequences == [("cg", "ref")]
 
     def test_preseeded_shards_do_not_echo_the_artifact(self):
+        """A task that compiles echoes the artifact on its first OK result
+        only; a preseeded task echoes none."""
         runner = SuiteRunner(["queens"])
-        job = runner._shard_job("queens", "small")
-        assert job.preseeded is None
-        fresh = run_shard(job)
-        assert fresh.ok and fresh.executable is not None
+        datasets = ("small", "alt")
+        jobs = [runner._shard_job("queens", ds) for ds in datasets]
+        assert all(job.preseeded is None for job in jobs)
+        fresh = run_task(jobs)
+        assert all(result.ok for result in fresh)
+        assert [result.executable is not None for result in fresh] \
+            == [True, False]
+        assert [result.analysis is not None for result in fresh] \
+            == [True, False]
         runner.compiled("queens")
-        seeded = run_shard(runner._shard_job("queens", "small"))
-        assert seeded.ok and seeded.executable is None \
-            and seeded.analysis is None
-        assert seeded.instr_count == fresh.instr_count
+        seeded = run_task([runner._shard_job("queens", ds)
+                           for ds in datasets])
+        assert all(result.ok and result.executable is None
+                   and result.analysis is None for result in seeded)
+        assert [r.instr_count for r in seeded] \
+            == [r.instr_count for r in fresh]
+
+
+class TestPoolTask:
+    """One pool task per benchmark: one compile, one set of superblock
+    specs, nothing left behind, and a one-benchmark batch stays serial."""
+
+    @staticmethod
+    def task_jobs(*datasets: str) -> list:
+        """queens shards that record telemetry into their results."""
+        with telemetry.use(Telemetry()):
+            runner = SuiteRunner(["queens"])
+            return [runner._shard_job("queens", ds) for ds in datasets]
+
+    @staticmethod
+    def formed(results) -> int:
+        return sum(result.telemetry.counters.get(
+            "sim.tier1.superblocks_formed", 0) for result in results)
+
+    def test_a_task_leaves_no_superblock_specs(self):
+        results = run_task(self.task_jobs("small", "alt"))
+        assert self.formed(results) > 0
+        executable = results[0].executable
+        assert executable is not None
+        assert executable not in traces._SHARED_SPECS
+
+    def test_a_task_forms_its_superblocks_once(self):
+        """The task's second run re-binds the first run's specs, so the
+        task forms what one serial runner forms for both runs."""
+        results = run_task(self.task_jobs("small", "alt"))
+        assert all(result.ok for result in results)
+        sink = Telemetry()
+        with telemetry.use(sink):
+            runner = SuiteRunner(["queens"])
+            runner.run("queens", "small")
+            runner.run("queens", "alt")
+        assert self.formed(results) \
+            == sink.counters()["sim.tier1.superblocks_formed"] > 0
+
+    def test_a_compile_failure_answers_every_job_once(self, monkeypatch):
+        calls = []
+
+        def broken(benchmark, **kwargs):
+            calls.append(benchmark.name)
+            raise ReproError("injected compile failure",
+                             benchmark=benchmark.name, phase="compile")
+
+        monkeypatch.setattr(parallel, "compile_artifact", broken)
+        runner = SuiteRunner(["queens"])
+        results = run_task([runner._shard_job("queens", ds)
+                            for ds in ("ref", "small", "alt")])
+        assert calls == ["queens"]
+        assert [r.dataset for r in results] == ["ref", "small", "alt"]
+        assert all(r.status is RunStatus.COMPILE_FAILED
+                   and r.error is results[0].error for r in results)
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_a_compile_failure_in_a_worker_surfaces_like_serial(
+            self, monkeypatch, strict):
+        """A benchmark that fails to compile in its task is memoized by
+        the parent: strict raises and degraded renders FAILED exactly
+        where a serial report does."""
+        real = parallel.compile_artifact
+
+        def broken(benchmark, **kwargs):
+            if benchmark.name == "fields":
+                raise ReproError("injected compile failure",
+                                 benchmark="fields", phase="compile")
+            return real(benchmark, **kwargs)
+
+        monkeypatch.setattr(parallel, "compile_artifact", broken)
+        pairs = [(name, ds) for name in MINI_SUITE
+                 for ds in ("ref", "small")]
+        reports = []
+        for parallelism in (1, 2):
+            runner = SuiteRunner(MINI_SUITE, strict=strict,
+                                 parallelism=parallelism)
+            if parallelism > 1:
+                assert runner.prefetch(pairs) == len(pairs)
+                assert runner._compile_failures["fields"].phase \
+                    == "compile"
+            if strict:
+                with pytest.raises(ReproError) as info:
+                    mini_report(runner)
+                reports.append(info.value.oneline())
+            else:
+                reports.append(mini_report(runner))
+        assert reports[0] == reports[1]
+        assert "fields" in reports[0]
+
+    def test_one_benchmark_forks_no_pool(self, tmp_path):
+        argv = ["--benchmarks", "queens", "--tables", "", "--graphs", "13"]
+        serial = cli_report(*argv)
+        assert cli_report(*argv, "--jobs", "2", "--telemetry",
+                          str(tmp_path)) == serial
+        names = [e["name"] for e in span_events(tmp_path)]
+        assert "prefetch" in names and "parallel:pool" not in names
+        assert "Graph 13" in serial
 
 
 class TestBatchSequencePass:

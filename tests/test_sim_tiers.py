@@ -341,6 +341,11 @@ class TestTier1Internals:
         s2, m2, *_ = run_tier(exe, "tier1", sink=second)
         assert _specs_for(exe) == formed, "second machine re-formed specs"
         assert second.counters()["sim.tier1.superblocks_compiled"] >= 1
+        # formations are counted where they happen: the first machine
+        # formed every spec (refused heads included), the second none
+        assert first.counters()["sim.tier1.superblocks_formed"] \
+            == len(formed)
+        assert second.counters()["sim.tier1.superblocks_formed"] == 0
         assert s2.output == s1.output
         assert s2.instr_count == s1.instr_count
         assert m2.regs == m1.regs
