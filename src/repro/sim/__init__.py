@@ -1,10 +1,11 @@
 """Simulator substrate: the QPT stand-in.
 
-Runs linked executables (:class:`~repro.sim.machine.Machine`) under QPT's
-two instrumentations: per-branch counters for edge profiles
-(:class:`~repro.sim.profile.EdgeProfile`, count mode) and one ordered
-event log per traced run (:class:`~repro.sim.trace.SequenceLog`, log mode)
-for trace-based sequence analysis (:class:`~repro.sim.trace.SequenceAnalyzer`).
+Runs linked executables (:class:`~repro.sim.machine.Machine`) recording
+QPT's compact trace, one int per branch event, which every run folds into
+per-branch counters for edge profiles
+(:class:`~repro.sim.profile.EdgeProfile`) and a traced run also decodes
+into one ordered event log (:class:`~repro.sim.trace.SequenceLog`) for
+trace-based sequence analysis (:class:`~repro.sim.trace.SequenceAnalyzer`).
 """
 
 from repro.errors import CallFrame, CrashReport

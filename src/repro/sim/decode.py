@@ -16,14 +16,14 @@ instruction counter *including* this instruction.  Handlers never touch
 fuel, ticks, or telemetry — that bookkeeping stays in the engine loop so
 Tier-0 and Tier-1 share one definition of it.  Branch and indirect-jump
 events are appended to the machine's pending-event list
-(``machine._pending``) and flushed in batches by the engine.  A run
-records them in one of two instrumentations (see
-:mod:`repro.sim.engine`): in *log mode* as ``(inst, taken_or_None,
-count)`` tuples (see ``Observer.on_events``), in *count mode* as one
-constant integer id per event — ``2*i`` (taken) or ``2*i + 1`` (not
-taken) for the conditional branch at instruction index ``i``, ``2*n +
-i`` for the indirect jump there (``n`` instructions) — so a handler
-builds no tuple and reads no count.
+(``machine._pending``) and flushed in batches by the engine, one int per
+event: ``count * S + id`` (see :mod:`repro.sim.engine`), where *id* is
+``2*i`` (taken) or ``2*i + 1`` (not taken) for the conditional branch at
+instruction index ``i`` and ``2*n + i`` for the indirect jump there
+(``n`` instructions), and ``S`` is the machine's ``_count_scale`` — 0
+when every observer takes counts, so the append is the bare id.  Both
+the id and ``S`` are default arguments of the closure, so a handler
+builds no tuple.
 
 Decode never fails the machine constructor: an instruction whose decode
 raises (corrupted operands injected by chaos tooling, unknown opcodes)
@@ -53,9 +53,8 @@ _S32 = 1 << 31
 
 
 def build_handlers(machine) -> list:
-    """Pre-decode ``machine._insts`` into a parallel list of closures, in
-    the machine's event encoding (``machine._counting``)."""
-    counting = machine._counting
+    """Pre-decode ``machine._insts`` into a parallel list of closures."""
+    S = machine._count_scale
     insts = machine._insts
     indirect_base = 2 * len(insts)
     tindex = machine._tindex
@@ -101,37 +100,21 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "beq":
-            if counting:
-                def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] == regs[rt]:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, rt=rt, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] == regs[rt]:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "bne":
-            if counting:
-                def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] != regs[rt]:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, rt=rt, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, rt=rt, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] != regs[rt]:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "slt":
@@ -177,98 +160,57 @@ def build_handlers(machine) -> list:
                     return (addr - TEXT_BASE) // WORD_SIZE
                 return h
 
-            if counting:
-                def h(count, rs=rs, ev=indirect_base + i):
-                    addr = regs[rs] & _M32
-                    pend(ev)
-                    if addr == HALT_ADDRESS:
-                        return HALT_INDEX
-                    return (addr - TEXT_BASE) // WORD_SIZE
-                return h
-            def h(count, inst=inst, rs=rs):
+            def h(count, rs=rs, ev=indirect_base + i, S=S):
                 addr = regs[rs] & _M32
-                pend((inst, None, count))
+                pend(count * S + ev)
                 if addr == HALT_ADDRESS:
                     return HALT_INDEX
                 return (addr - TEXT_BASE) // WORD_SIZE
             return h
         if name == "jalr":
             ra = TEXT_BASE + WORD_SIZE * (i + 1)
-            ev = indirect_base + i if counting else None
-            def h(count, inst=inst, rd=rd, rs=rs, ra=ra, site=inst.address,
-                  ev=ev):
+            def h(count, rd=rd, rs=rs, ra=ra, site=inst.address,
+                  ev=indirect_base + i, S=S):
                 addr = regs[rs] & _M32
                 regs[rd] = ra
                 call_stack.append((site, addr, ra))
-                pend(ev if ev is not None else (inst, None, count))
+                pend(count * S + ev)
                 return (addr - TEXT_BASE) // WORD_SIZE
             return h
         if name == "blez":
-            if counting:
-                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] <= 0:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] <= 0:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "bgtz":
-            if counting:
-                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] > 0:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] > 0:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "bltz":
-            if counting:
-                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] < 0:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] < 0:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "bgez":
-            if counting:
-                def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
-                      N=2 * i + 1):
-                    if regs[rs] >= 0:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, rs=rs, t=tindex[i], nxt=nxt):
+            def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
+                  N=2 * i + 1, S=S):
                 if regs[rs] >= 0:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "sub" or name == "subu":
@@ -479,35 +421,19 @@ def build_handlers(machine) -> list:
                 return nxt
             return h
         if name == "bc1t":
-            if counting:
-                def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1):
-                    if machine.fp_cond:
-                        pend(T)
-                        return t
-                    pend(N)
-                    return nxt
-                return h
-            def h(count, inst=inst, t=tindex[i], nxt=nxt):
+            def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1, S=S):
                 if machine.fp_cond:
-                    pend((inst, True, count))
+                    pend(count * S + T)
                     return t
-                pend((inst, False, count))
+                pend(count * S + N)
                 return nxt
             return h
         if name == "bc1f":
-            if counting:
-                def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1):
-                    if machine.fp_cond:
-                        pend(N)
-                        return nxt
-                    pend(T)
-                    return t
-                return h
-            def h(count, inst=inst, t=tindex[i], nxt=nxt):
+            def h(count, t=tindex[i], nxt=nxt, T=2 * i, N=2 * i + 1, S=S):
                 if machine.fp_cond:
-                    pend((inst, False, count))
+                    pend(count * S + N)
                     return nxt
-                pend((inst, True, count))
+                pend(count * S + T)
                 return t
             return h
         if name == "mtc1":

@@ -18,21 +18,27 @@ Both engines retire identical architectural state, outputs, branch-event
 streams, and crash reports — the Tier-0-vs-Tier-1 differential suite
 holds over every benchmark.
 
-Two instrumentations, chosen per machine from what its observers consume
-(QPT's split between edge counters and traces):
+One event encoding (the compact trace of QPT, expanded off the hot
+path): Tier-0 handlers and Tier-1 superblocks append one int per branch
+event to ``machine._pending``, ``count * S + id``.  For ``n``
+instructions *id* is ``2*i`` (taken) or ``2*i + 1`` (not taken) for the
+conditional branch at index ``i`` and ``2*n + i`` for the indirect jump
+there; a looped superblock's completed run appends ``b0 * S + (3*n +
+head)`` followed by ``~iterations`` (negative, so it cannot be mistaken
+for an event, and defined for zero iterations).  ``S``
+(``machine._count_scale``) is 0 when every observer takes counts — the
+append is the bare id — and otherwise a power of two above ``4*n``, so
+``& (S - 1)`` recovers the id and ``>> log2(S)`` the retired count.
 
-* **count mode** — every observer declares ``takes_counts`` (an
-  :class:`~repro.sim.profile.EdgeProfile`, or no observer at all).
-  Handlers and superblocks append one constant integer id per branch
-  event (see :mod:`repro.sim.decode`; a looped superblock appends its
-  loop id ``3*n + head`` followed by ``~iterations``); each flush folds
-  its batch into the run's id counts with one ``np.bincount``; at run
-  end the ids become per-branch taken/not-taken counts for the
-  observers' ``on_counts`` and the crash history is decoded from the
-  last batches kept.
-* **log mode** — anything else: the ordered ``(inst, taken, count)``
-  stream, delivered batch by batch to ``on_events`` (or replayed through
-  ``on_branch``/``on_indirect`` for duck-typed observers).
+One :class:`_Recorder` per run flushes the batch at each housekeeping
+tick: it folds the ids into the run's per-id counts with one
+``np.bincount`` and, when ``S > 0``, decodes the batch once into an
+:class:`EventBatch` of columns for the observers that do not take
+counts (``SequenceLog`` keeps the columns; every other observer replays
+them through ``on_branch``/``on_indirect``, see
+:meth:`~repro.sim.machine.Observer.on_events`).  At run end the ids
+become per-branch taken/not-taken counts for ``on_counts`` and the crash
+history is decoded from the last batches kept.
 
 Engine selection (:func:`resolve_engine_name`): an explicit request
 (constructor argument / CLI ``--engine``) wins, then the
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from functools import partial
 from time import monotonic, perf_counter
 
 import numpy as np
@@ -59,7 +66,7 @@ from repro.sim.traces import HOT_THRESHOLD, TraceCache, recover_block_fault
 
 __all__ = ["DEFAULT_ENGINE", "ENGINES", "ENGINE_ENV", "FORCE_TIER0_ENV",
            "resolve_engine_name", "create_engine", "Tier0Engine",
-           "Tier1Engine"]
+           "Tier1Engine", "EventBatch", "NOT_TAKEN", "TAKEN", "INDIRECT"]
 
 DEFAULT_ENGINE = "tier1"
 ENGINES = ("tier0", "tier1")
@@ -89,48 +96,66 @@ def create_engine(machine):
     return Tier1Engine(machine)
 
 
-def _replay_sink(ob):
-    """Adapt an observer without ``on_events`` to the batched API.
-
-    Run markers from looped superblocks (``(None, template, base0,
-    iterations, length)``) are expanded into the exact per-event calls
-    tier0 would have made."""
-    on_branch = getattr(ob, "on_branch", None)
-    on_indirect = getattr(ob, "on_indirect", None)
-
-    def replay(batch):
-        for ev in batch:
-            inst = ev[0]
-            if inst is None:
-                if on_branch is not None:
-                    _, tmpl, b0, iters, ln = ev
-                    for i in range(iters):
-                        cb = b0 + i * ln
-                        for binst, taken, off in tmpl:
-                            on_branch(binst, taken, cb + off)
-                continue
-            taken = ev[1]
-            if taken is None:
-                if on_indirect is not None:
-                    on_indirect(inst, ev[2])
-            elif on_branch is not None:
-                on_branch(inst, taken, ev[2])
-    return replay
+#: event kinds of an :class:`EventBatch` (and of a ``SequenceLog``)
+NOT_TAKEN, TAKEN, INDIRECT = 0, 1, 2
 
 
-class _IdCounter:
-    """Count-mode bookkeeping of one run: the flush, and the run-end
+class EventBatch:
+    """One flush's events in execution order, decoded once for every
+    observer that does not take counts.
+
+    Parallel columns over the batch's branch events: ``index`` (into
+    ``insts``, the machine's instruction list), ``address``, ``kind``
+    (:data:`NOT_TAKEN`, :data:`TAKEN` or :data:`INDIRECT`) and ``count``
+    (instructions retired up to and including the event).  ``markers``
+    holds each looped-superblock run as ``(events before it in the
+    batch, template, base, iterations, stride)``: iteration ``k`` of the
+    run took each ``(inst, taken, offset)`` of the template at count
+    ``base + k * stride + offset``."""
+
+    __slots__ = ("insts", "index", "address", "kind", "count", "markers")
+
+    def __init__(self, insts, index, address, kind, count, markers):
+        self.insts = insts
+        self.index = index
+        self.address = address
+        self.kind = kind
+        self.count = count
+        self.markers = markers
+
+    def __len__(self) -> int:
+        return len(self.kind) + len(self.markers)
+
+
+class _Recorder:
+    """The event bookkeeping of one run: the flush, and the run-end
     conversion of ids into per-branch counts and crash history.
 
     *cache* is the run's :class:`~repro.sim.traces.TraceCache` (``None``
-    on Tier 0, which never records loop ids)."""
+    on Tier 0, which never records loop runs)."""
 
     def __init__(self, machine, observers, cache=None):
+        from repro.sim.machine import Observer  # machine imports this module
         self.machine = machine
-        self.observers = observers
         self.cache = cache
         n = len(machine._insts)
         self.n = n
+        self.counters = [ob for ob in observers
+                         if getattr(ob, "takes_counts", False)]
+        #: the ordered observers' batch hooks (duck types replay through
+        #: the base class's)
+        self.sinks = [getattr(ob, "on_events", None)
+                      or partial(Observer.on_events, ob)
+                      for ob in observers
+                      if not getattr(ob, "takes_counts", False)]
+        #: ``S`` of the encoding: an event is ``count * S + id``
+        self.scale = machine._count_scale
+        if self.sinks:
+            self.addresses = np.array([inst.address
+                                       for inst in machine._insts],
+                                      dtype=np.int64)
+            #: head -> the run template in instructions, for the markers
+            self.templates: dict[int, tuple] = {}
         self.ids = np.zeros(4 * n, dtype=np.int64)
         self.iterations = np.zeros(n, dtype=np.int64)
         #: the latest batches as (ids, conditional ids among them), back
@@ -140,49 +165,101 @@ class _IdCounter:
         self.keep = machine._branch_history.maxlen
 
     def flush(self):
+        """Fold the pending batch, then hand it to the ordered observers:
+        the pending list is cleared and the counts, branch count and
+        crash history include the batch before any observer sees it, so
+        a raising observer can neither lose events nor get them twice."""
         pending = self.machine._pending
         if not pending:
             return
-        batch = np.array(pending, dtype=np.int64)
+        raw = np.array(pending, dtype=np.int64)
         del pending[:]
-        negative = batch < 0
-        if negative.any():
-            at = np.flatnonzero(negative)
-            np.add.at(self.iterations, batch[at - 1] - 3 * self.n,
-                      ~batch[at])
-            counts = np.bincount(batch[~negative])
+        negative = raw < 0
+        runs = np.flatnonzero(negative)
+        if self.scale:
+            ids = raw & (self.scale - 1)
+            ids[runs] = raw[runs]
         else:
-            counts = np.bincount(batch)
+            ids = raw
+        if runs.size:
+            np.add.at(self.iterations, ids[runs - 1] - 3 * self.n,
+                      ~ids[runs])
+            counts = np.bincount(ids[~negative])
+        else:
+            counts = np.bincount(ids)
         self.ids[:len(counts)] += counts
         conditional = int(counts[:2 * self.n].sum())
         kept = self.kept
-        kept.append((batch, conditional))
+        kept.append((ids, conditional))
         self.kept_events += conditional
         while self.kept_events - kept[0][1] >= self.keep:
             self.kept_events -= kept.popleft()[1]
+        if self.sinks:
+            batch = self._decode(raw, ids, runs)
+            for sink in self.sinks:
+                sink(batch)
+
+    def _decode(self, raw, ids, runs) -> EventBatch:
+        """The batch as columns: each event's instruction, kind and
+        count, and each loop run as a marker."""
+        n = self.n
+        shift = self.scale.bit_length() - 1
+        markers = []
+        if runs.size:
+            loops = runs - 1
+            blocks = self.cache.blocks
+            # events before a run: its loop id's position less the two
+            # entries of each earlier run
+            for pos, head, base, iterations in zip(
+                    (loops - 2 * np.arange(runs.size)).tolist(),
+                    (ids[loops] - 3 * n).tolist(),
+                    (raw[loops] >> shift).tolist(), (~raw[runs]).tolist()):
+                markers.append((pos, self._template(head), base,
+                                iterations, blocks[head].spec.slen))
+            events = np.ones(len(raw), dtype=bool)
+            events[runs] = events[loops] = False
+            raw, ids = raw[events], ids[events]
+        indirect = ids >= 2 * n
+        index = np.where(indirect, ids - 2 * n, ids >> 1)
+        kind = np.where(indirect, INDIRECT, 1 - (ids & 1)).astype(np.int8)
+        return EventBatch(self.machine._insts, index, self.addresses[index],
+                          kind, raw >> shift, markers)
 
     def _template(self, head):
-        return [ev for ev, _, _ in self.cache.blocks[head].iter_events]
+        """The looped block at *head*'s run template as ``(inst, taken,
+        offset)``."""
+        template = self.templates.get(head)
+        if template is None:
+            insts = self.machine._insts
+            template = self.templates[head] = tuple(
+                (insts[ev >> 1], assumed, offset)
+                for ev, assumed, offset
+                in self.cache.blocks[head].spec.iter_events)
+        return template
+
+    def _run_ids(self, head) -> list[int]:
+        """The looped block at *head*'s run template as ids."""
+        return [ev for ev, _, _ in self.cache.blocks[head].spec.iter_events]
 
     def close(self) -> int:
         """Fold loop runs into per-branch counts, decode the crash
-        history, hand the counts to the observers; returns the run's
-        conditional-branch count."""
+        history, hand the counts to the observers that take them; returns
+        the run's conditional-branch count."""
         n = self.n
         counts = self.ids[:2 * n].copy()
         for head in np.flatnonzero(self.iterations).tolist():
             times = self.iterations[head]
-            for ev in self._template(head):
+            for ev in self._run_ids(head):
                 counts[ev] += times
         self.machine._branch_history.extend(self._history())
         taken, not_taken = counts[0::2], counts[1::2]
         executed = np.flatnonzero(taken + not_taken)
-        if self.observers and executed.size:
+        if self.counters and executed.size:
             insts = self.machine._insts
             addresses = [insts[i].address for i in executed.tolist()]
             taken_list = taken[executed].tolist()
             not_taken_list = not_taken[executed].tolist()
-            for ob in self.observers:
+            for ob in self.counters:
                 ob.on_counts(addresses, taken_list, not_taken_list)
         return int(counts.sum())
 
@@ -199,7 +276,7 @@ class _IdCounter:
             while j >= 0 and len(out) < keep:
                 ev = ids[j]
                 if ev < 0:
-                    template = self._template(ids[j - 1] - 3 * n)
+                    template = self._run_ids(ids[j - 1] - 3 * n)
                     if template:
                         for _ in range(min(~ev, keep // len(template) + 1)):
                             for tev in reversed(template):
@@ -218,8 +295,8 @@ class _IdCounter:
 
 
 class _EngineBase:
-    """Shared setup: the pre-decoded handler table (in the machine's event
-    encoding) and event batching."""
+    """Shared setup: the pre-decoded handler table and the run's
+    recorder."""
 
     name = "?"
 
@@ -231,63 +308,8 @@ class _EngineBase:
         """``(flush, close)`` for one run: *close* runs once at run end
         (success or fault) and returns the run's conditional-branch
         count."""
-        if self.machine._counting:
-            counter = _IdCounter(self.machine, observers, cache)
-            return counter.flush, counter.close
-        flush, counted = self._make_flush(observers)
-        return flush, lambda: counted[0]
-
-    def _make_flush(self, observers):
-        """Build the batched event flush for one run.
-
-        Copy-then-clear so a raising observer can never cause events to be
-        re-delivered by the fault-path drain; the crash-report branch
-        history and the dynamic-branch count are updated before observers
-        see the batch, so counts survive observer faults.
-
-        Run markers (``ev[0] is None``) summarize the completed iterations
-        of a looped superblock; the history and the count aggregate them
-        in ``O(template)`` rather than ``O(iterations)`` — the bounded
-        history deque only ever needs its last ``maxlen`` events."""
-        machine = self.machine
-        pending = machine._pending
-        history = machine._branch_history
-        hist_append = history.append
-        hist_extend = history.extend
-        hist_max = history.maxlen
-        counted = [0]
-        # duck-typed observers (tests) may lack on_events; replay the batch
-        # through their per-event hooks instead
-        sinks = []
-        for ob in observers:
-            batched = getattr(ob, "on_events", None)
-            if batched is None:
-                batched = _replay_sink(ob)
-            sinks.append(batched)
-
-        def flush():
-            if not pending:
-                return
-            batch = pending[:]
-            del pending[:]
-            n = 0
-            for ev in batch:
-                if ev[0] is None:
-                    _, tmpl, _b0, iters, _ln = ev
-                    if iters > 0 and tmpl:
-                        n += len(tmpl) * iters
-                        pairs = [(t[0].address, t[1]) for t in tmpl]
-                        reps = min(iters, hist_max // len(pairs) + 1)
-                        hist_extend(pairs * reps)
-                    continue
-                taken = ev[1]
-                if taken is not None:
-                    hist_append((ev[0].address, taken))
-                    n += 1
-            counted[0] += n
-            for sink in sinks:
-                sink(batch)
-        return flush, counted
+        recorder = _Recorder(self.machine, observers, cache)
+        return recorder.flush, recorder.close
 
 
 def _drain(flush, close) -> int:

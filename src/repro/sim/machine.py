@@ -13,9 +13,9 @@ is pre-decoded once into per-opcode closures (:mod:`repro.sim.decode`,
 into fused superblock handlers (:mod:`repro.sim.traces`, "tier1") with
 watchdog/telemetry/observer housekeeping batched at superblock boundaries.
 Both tiers retire identical architectural state, output, branch-event
-streams, and crash reports, in either instrumentation — per-branch
-counters (count mode) or the ordered event stream (log mode), chosen
-from the observers; ``Machine`` is the stable facade over them —
+streams, and crash reports, recording one int per event that serves
+both per-branch counters and the ordered stream; ``Machine`` is the
+stable facade over them —
 it owns all simulated state (registers, memory, syscalls, call-stack and
 branch-history shadows) while the engines own only dispatch.
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from collections.abc import Mapping
+from itertools import islice
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -50,7 +51,9 @@ from repro.errors import (
 from repro.isa.instructions import Instruction
 from repro.isa.program import Executable, GP_VALUE, STACK_TOP, TEXT_BASE, WORD_SIZE
 from repro.sim.decode import HALT_ADDRESS
-from repro.sim.engine import create_engine, resolve_engine_name
+from repro.sim.engine import (
+    INDIRECT, TAKEN, create_engine, resolve_engine_name,
+)
 from repro.sim.memory import PAGE_SIZE, Memory
 
 __all__ = [
@@ -87,23 +90,20 @@ _INTERNAL_FAULTS = (KeyError, IndexError, ValueError, TypeError,
 class Observer:
     """Subscriber to execution events. Subclass and override what you need.
 
-    A machine's runs record in one of two instrumentations (see
-    :mod:`repro.sim.engine`), picked from the observers it is built
-    with.  If every observer sets :attr:`takes_counts`, the runs are in
-    *count mode*: they keep per-branch counters only and call
-    :meth:`on_counts` once at run end.  Otherwise they are in *log
-    mode*: the engines deliver the ordered events in *batches*
-    (:meth:`on_events`) flushed at housekeeping ticks, superblock
-    boundaries, faults, and run end.  The
-    default :meth:`on_events` replays a batch through the per-event
-    hooks, so subclasses overriding only :meth:`on_branch`/
-    :meth:`on_indirect` keep working unchanged; throughput-sensitive
-    observers override :meth:`on_events` instead.  Event order is always
-    execution order, and the batch list is only valid for the duration
-    of the call."""
+    Every run records one int per event (see :mod:`repro.sim.engine`)
+    and folds them into per-branch counts, which observers that set
+    :attr:`takes_counts` get once at run end (:meth:`on_counts`).  Every
+    other observer gets the ordered events in *batches*
+    (:meth:`on_events`), decoded once per flush — at housekeeping ticks,
+    superblock boundaries, faults, and run end.  The default
+    :meth:`on_events` replays a batch through the per-event hooks, so
+    subclasses overriding only :meth:`on_branch`/:meth:`on_indirect`
+    see the exact Tier-0 stream; :class:`~repro.sim.trace.SequenceLog`
+    keeps the batch's columns instead.  Event order is always execution
+    order."""
 
-    #: whether this observer needs only per-branch counts; a run whose
-    #: observers all say so records in count mode
+    #: whether this observer needs only per-branch counts; a machine
+    #: whose observers all say so records no instruction counts
     takes_counts = False
 
     def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
@@ -115,34 +115,36 @@ class Observer:
         """An indirect jump (non-return ``jr``) or indirect call (``jalr``)
         executed — always a break in control under any static predictor."""
 
-    def on_events(self, events) -> None:
-        """A batch of ``(inst, taken_or_None, instr_count)`` tuples in
-        execution order; ``taken is None`` marks an indirect event.
-        Tier-1 run markers (``inst is None``: the completed iterations
-        of a looped superblock, see :mod:`repro.sim.traces`) are
-        expanded here into the exact per-event calls tier0 would make,
-        so subclasses overriding only the per-event hooks stay
-        tier-agnostic."""
-        for ev in events:
-            inst = ev[0]
-            if inst is None:
-                _, template, base, iterations, length = ev
-                for i in range(iterations):
-                    count = base + i * length
-                    for binst, taken, offset in template:
-                        self.on_branch(binst, taken, count + offset)
-                continue
-            taken = ev[1]
-            if taken is None:
-                self.on_indirect(inst, ev[2])
-            else:
-                self.on_branch(inst, taken, ev[2])
+    def on_events(self, batch) -> None:
+        """One flush's events (an :class:`~repro.sim.engine.EventBatch`),
+        replayed through :meth:`on_branch` and :meth:`on_indirect`.  A
+        run marker (the completed iterations of a looped superblock, see
+        :mod:`repro.sim.traces`) expands through its template into the
+        exact calls Tier 0 makes.  The engine calls this unbound on
+        observers that define no ``on_events``."""
+        insts = batch.insts
+        events = zip(batch.index.tolist(), batch.kind.tolist(),
+                     batch.count.tolist())
+        done = 0
+        # a zero-iteration marker at the end flushes the trailing events
+        for pos, template, base, iterations, stride in (
+                *batch.markers, (len(batch.kind), (), 0, 0, 0)):
+            for i, kind, count in islice(events, pos - done):
+                if kind == INDIRECT:
+                    self.on_indirect(insts[i], count)
+                else:
+                    self.on_branch(insts[i], kind == TAKEN, count)
+            done = pos
+            for k in range(iterations):
+                at = base + k * stride
+                for inst, taken, offset in template:
+                    self.on_branch(inst, taken, at + offset)
 
     def on_counts(self, addresses: list[int], taken: list[int],
                   not_taken: list[int]) -> None:
-        """Count mode only: the run's per-branch outcome counts, once at
-        run end (also after a fault) — parallel lists over the branches
-        that executed, in address order."""
+        """For observers that take counts: the run's per-branch outcome
+        counts, once at run end (also after a fault) — parallel lists
+        over the branches that executed, in address order."""
 
     def on_finish(self, instr_count: int) -> None:
         """Execution finished normally."""
@@ -170,11 +172,11 @@ class Machine:
         Values consumed, in order, by the ``read_int`` / ``read_double`` /
         ``read_char`` syscalls — this is how datasets are fed to benchmarks.
     observers:
-        Event subscribers (edge profilers, sequence analyzers, tracers).
-        They pick the run's instrumentation: count mode when every
-        observer takes counts (:attr:`Observer.takes_counts`, as an
-        :class:`~repro.sim.profile.EdgeProfile` does), else log mode —
-        see :class:`Observer`.
+        Event subscribers (edge profilers, sequence logs, tracers).
+        Unless every observer takes counts
+        (:attr:`Observer.takes_counts`, as an
+        :class:`~repro.sim.profile.EdgeProfile` does), each recorded
+        event carries its instruction count — see :class:`Observer`.
     max_instructions:
         Fuel limit; :class:`SimulationLimitExceeded` is raised beyond it.
     wall_clock_deadline:
@@ -256,11 +258,13 @@ class Machine:
         self.regs[31] = HALT_ADDRESS
         self.inputs = deque(inputs or [])
         self.observers = list(observers or [])
-        #: whether this machine's runs record in count mode: every
-        #: observer takes counts (vacuously so for none); fixed here,
-        #: like the observers, so the engine decodes one event encoding
-        self._counting = all(getattr(ob, "takes_counts", False)
-                             for ob in self.observers)
+        #: ``S`` of the event encoding ``count * S + id`` (see
+        #: :mod:`repro.sim.engine`): 0 when every observer takes counts
+        #: (vacuously so for none), else a power of two above every id;
+        #: fixed here, like the observers
+        self._count_scale = 0 if all(
+            getattr(ob, "takes_counts", False) for ob in self.observers
+        ) else 1 << (4 * len(executable.instructions)).bit_length()
         self.max_instructions = max_instructions
         self.wall_clock_deadline = wall_clock_deadline
         self.telemetry = telemetry if telemetry is not None \
@@ -292,9 +296,8 @@ class Machine:
         self._branch_history: deque[tuple[int, bool]] = deque(
             maxlen=max(1, branch_history_limit))
         #: batched events awaiting a flush, shared by the pre-decoded
-        #: handlers and compiled superblocks: (inst, taken_or_None, count)
-        #: tuples in log mode, integer ids in count mode
-        self._pending: list = []
+        #: handlers and compiled superblocks: one int per event
+        self._pending: list[int] = []
         #: shared mutable counter cell bumped by superblock side exits
         self._side_exit_cell = [0]
         self._brk = executable.heap_start

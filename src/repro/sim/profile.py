@@ -18,10 +18,9 @@ __all__ = ["EdgeProfile"]
 class EdgeProfile(Observer):
     """Per-branch taken / not-taken counts collected during a run.
 
-    It takes counts (:attr:`~repro.sim.machine.Observer.takes_counts`): a
-    run whose only observers are edge profiles records in count mode and
-    fills each profile once at run end (:meth:`on_counts`); next to a
-    log-mode observer it aggregates the event batches instead."""
+    It takes counts (:attr:`~repro.sim.machine.Observer.takes_counts`):
+    every run fills it once at run end (:meth:`on_counts`), whatever the
+    other observers."""
 
     takes_counts = True
 
@@ -40,38 +39,9 @@ class EdgeProfile(Observer):
         counts[0 if taken else 1] += 1
         self.total_dynamic_branches += 1
 
-    def on_events(self, events) -> None:
-        # batched fast path: identical aggregation to on_branch, without a
-        # method call per event.  A run marker (ev[0] is None) stands for
-        # `iters` identical loop iterations; aggregate it per template
-        # entry instead of expanding.
-        get = self._counts.get
-        counts_map = self._counts
-        n = 0
-        for ev in events:
-            inst = ev[0]
-            if inst is None:
-                tmpl, iters = ev[1], ev[3]
-                if iters <= 0:
-                    continue
-                for binst, taken, _off in tmpl:
-                    counts = get(binst.address)
-                    if counts is None:
-                        counts = [0, 0]
-                        counts_map[binst.address] = counts
-                    counts[0 if taken else 1] += iters
-                    n += iters
-                continue
-            taken = ev[1]
-            if taken is None:
-                continue
-            counts = get(inst.address)
-            if counts is None:
-                counts = [0, 0]
-                counts_map[inst.address] = counts
-            counts[0 if taken else 1] += 1
-            n += 1
-        self.total_dynamic_branches += n
+    # never called: counts arrive through on_counts; perf/layers.py traces
+    # this name as `sim.deliver_profile`
+    on_events = Observer.on_events
 
     def on_counts(self, addresses, taken, not_taken) -> None:
         counts_map = self._counts

@@ -13,8 +13,9 @@ compute the IPBC average and the *dividing length* (the sequence length at
 which 50% of executed instructions are accounted for).
 
 A run records its trace once, as a compact :class:`SequenceLog` (branch
-address, outcome or indirect mark, and instruction count per event; the
-run markers of looped superblocks stay run-length encoded), and
+address, outcome or indirect mark, and instruction count per event, as
+the engine decodes them from its id stream; the run markers of looped
+superblocks stay run-length encoded), and
 :meth:`SequenceAnalyzer.analyze` computes one predictor's distribution
 from a log in one vectorized pass — so one log serves every prediction
 map, including the perfect predictor, whose map exists only once the
@@ -31,6 +32,7 @@ import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.isa.instructions import Instruction
+from repro.sim.engine import INDIRECT, NOT_TAKEN, TAKEN
 from repro.sim.machine import Observer
 
 _log = logging.getLogger("repro.sim.trace")
@@ -42,12 +44,6 @@ NUM_BUCKETS = 1000
 BUCKET_WIDTH = 10
 _OVERFLOW = NUM_BUCKETS - 1
 
-#: event kinds in a :class:`SequenceLog`
-_NOT_TAKEN, _TAKEN, _INDIRECT = 0, 1, 2
-#: events buffered as Python lists before they are packed into arrays
-#: (small, so the transient lists never outweigh the packed log)
-_CHUNK = 4096
-
 
 class SequenceLog(Observer):
     """The ordered branch events of one run, recorded compactly.
@@ -55,8 +51,9 @@ class SequenceLog(Observer):
     Per conditional or indirect event the log keeps the branch address,
     the kind (taken, not taken, indirect) and the instruction count; a
     Tier-1 run marker is kept as is, with its position among the events.
-    It is a log-mode observer (the order and the counts matter), and it
-    does no analysis itself: :meth:`SequenceAnalyzer.analyze` reads it.
+    It takes the engine's decoded batches as they are (the order and
+    the counts matter), and it does no analysis itself:
+    :meth:`SequenceAnalyzer.analyze` reads it.
     """
 
     def __init__(self) -> None:
@@ -71,28 +68,21 @@ class SequenceLog(Observer):
 
     def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
         self._addr.append(inst.address)
-        self._kind.append(_TAKEN if taken else _NOT_TAKEN)
+        self._kind.append(TAKEN if taken else NOT_TAKEN)
         self._count.append(instr_count)
 
     def on_indirect(self, inst: Instruction, instr_count: int) -> None:
         self._addr.append(inst.address)
-        self._kind.append(_INDIRECT)
+        self._kind.append(INDIRECT)
         self._count.append(instr_count)
 
-    def on_events(self, events) -> None:
-        addr, kind, count = self._addr, self._kind, self._count
-        add_addr, add_kind, add_count = addr.append, kind.append, count.append
-        for ev in events:
-            inst = ev[0]
-            if inst is None:
-                self.markers.append((self._packed + len(addr),) + ev[1:])
-                continue
-            taken = ev[1]
-            add_addr(inst.address)
-            add_kind(_INDIRECT if taken is None else taken)
-            add_count(ev[2])
-        if len(addr) >= _CHUNK:
-            self._pack()
+    def on_events(self, batch) -> None:
+        """Append an :class:`~repro.sim.engine.EventBatch`'s columns."""
+        self._pack()
+        self._chunks.append((batch.address, batch.kind, batch.count))
+        self.markers.extend((self._packed + pos, *rest)
+                            for pos, *rest in batch.markers)
+        self._packed += len(batch.kind)
 
     def on_finish(self, instr_count: int) -> None:
         self.total_instructions = instr_count
@@ -126,9 +116,9 @@ class SequenceLog(Observer):
         address among them, taken)``."""
         addr, kind, _ = self.arrays()
         if self._branches is None:
-            where = np.flatnonzero(kind != _INDIRECT)
+            where = np.flatnonzero(kind != INDIRECT)
             unique, inverse = np.unique(addr[where], return_inverse=True)
-            self._branches = (where, unique, inverse, kind[where] == _TAKEN)
+            self._branches = (where, unique, inverse, kind[where] == TAKEN)
         return self._branches
 
 
@@ -209,7 +199,7 @@ class SequenceAnalyzer(Observer):
         predictions = self.predictions
         _, kind, count = log.arrays()
         where, unique, inverse, taken = log.branches()
-        breaks = kind == _INDIRECT
+        breaks = kind == INDIRECT
         n_branches = len(where)
         n_mispredicts = 0
         if n_branches:
@@ -368,32 +358,6 @@ class BranchTrace(Observer):
         self.limit = limit
         self.truncated = False
         self.dropped = 0
-
-    def on_events(self, events) -> None:
-        # batched fast path: bulk-extend below the limit, fall back to the
-        # per-event hook (which owns the truncation accounting) otherwise.
-        # Run markers expand to `iters` repetitions of their template.
-        conditional: list[tuple[int, bool]] = []
-        for e in events:
-            if e[0] is None:
-                tmpl, iters = e[1], e[3]
-                if iters > 0 and tmpl:
-                    conditional.extend(
-                        [(b.address, t) for b, t, _off in tmpl] * iters)
-            elif e[1] is not None:
-                conditional.append((e[0].address, e[1]))
-        if len(self.events) + len(conditional) <= self.limit:
-            self.events.extend(conditional)
-            return
-        for e in events:
-            if e[0] is None:
-                _, tmpl, b0, iters, ln = e
-                for i in range(iters):
-                    cb = b0 + i * ln
-                    for binst, taken, off in tmpl:
-                        self.on_branch(binst, taken, cb + off)
-            elif e[1] is not None:
-                self.on_branch(e[0], e[1], e[2])
 
     def on_branch(self, inst: Instruction, taken: bool, instr_count: int) -> None:
         if len(self.events) < self.limit:

@@ -40,21 +40,18 @@ proven it fits the fuel limit), mirroring tier0's do-then-check order.
 Loop iterations emit **no** per-iteration branch events.  Every completed
 iteration of a looped block takes the assumed direction at each branch —
 anything else side-exits — so its event sequence is statically known.
-Exits append one *run marker* to the pending-event list; the flush and
-the batched observers expand or aggregate it (``O(1)`` for profiles and
-histories instead of ``O(iterations)``), and duck-typed observers see
-fully expanded events.
+Exits append one *run marker* to the pending-event list; the flush folds
+it per template entry (``O(1)`` for profiles and histories instead of
+``O(iterations)``), and per-event observers see it fully expanded.
 
-A block records in the run's event encoding (see
-:mod:`repro.sim.engine`).  In log mode an event is ``(inst, taken,
-base + K)`` and a run marker ``(None, template, base0, iterations,
-length)``.  In count mode every event is a constant id baked into the
-generated code (``2*p`` taken, ``2*p + 1`` not taken, ``2*n + p`` for an
-indirect jump at instruction index ``p`` of ``n``), so recording an
-event is one ``append`` of a constant with no tuple and no count, and
-a run marker is the block's loop id ``3*n + head`` followed by
-``~iterations`` (negative, so it cannot be mistaken for an id, and
-defined for zero iterations).
+A block records events in the engine's one encoding (see
+:mod:`repro.sim.engine`): an event is ``(base + K) * S + id`` with the
+constant id baked into the generated code (``2*p`` taken, ``2*p + 1``
+not taken, ``2*n + p`` for an indirect jump at instruction index ``p``
+of ``n``) and ``S`` the machine's ``_count_scale``, bound at
+:func:`_bind_block` (0 when every observer takes counts).  A run marker
+is ``b0 * S`` plus the block's loop id ``3*n + head``, followed by
+``~iterations``; its stride is the block's ``slen``.
 A looped block containing folded diamonds renders in *runs* mode: the
 marker counts the run of consecutive all-assumed iterations, a fold whose
 test goes the non-assumed way flushes the run, records the iteration's
@@ -63,12 +60,11 @@ not per iteration.
 
 Block compile products are shared across machines.  The
 machine-independent :class:`BlockSpec` (generated code object, event
-offsets, line map, fold table) is cached per ``Executable``, layout
-content and event encoding in a weak-keyed module map (both encodings
-render the same block shapes); a fresh :class:`TraceCache` re-binds
-specs to its own machine (rebuilding only the machine-bound iteration
-events) instead of re-forming superblocks, and negative entries (refused
-heads) are shared too.
+offsets, line map, fold table, run template) is cached per
+``Executable`` and layout content in a weak-keyed module map; a fresh
+:class:`TraceCache` re-binds specs to its own machine, whatever its
+observers, instead of re-forming superblocks, and negative entries
+(refused heads) are shared too.
 
 Registers known to be compile-time constants are folded into the emitted
 expressions: ``$zero`` seeds the fold (guarded by a one-line entry check
@@ -88,7 +84,7 @@ as single-stepping.  Four mechanisms guarantee it, all off the hot path:
   the generated frame's ``f_locals`` and written back to the machine
   (a faulting statement never assigns its own destination first);
 * a fault inside a looped block reconstructs the branch events of its
-  completed iterations (run marker, or loop id and ``~iterations``) and
+  completed iterations (the run marker: loop id and ``~iterations``) and
   of the partial iteration up to the fault offset, so event streams,
   counts and crash branch histories match tier0 exactly;
 * the engine refuses to enter a block whose full path could cross the
@@ -111,8 +107,7 @@ from repro.isa.program import TEXT_BASE, WORD_SIZE
 from repro.sim.decode import HALT_INDEX
 
 __all__ = ["CompiledBlock", "TraceCache", "recover_block_fault",
-           "compile_superblock", "drop_specs", "MAX_BLOCK_LEN",
-           "HOT_THRESHOLD", "MAX_BLOCKS"]
+           "drop_specs", "MAX_BLOCK_LEN", "HOT_THRESHOLD", "MAX_BLOCKS"]
 
 #: Longest path a superblock may cover (also bounds fuel/watchdog overshoot).
 MAX_BLOCK_LEN = 128
@@ -155,35 +150,18 @@ class _Truncate(Exception):
 
 
 class CompiledBlock:
-    """One compiled superblock; see the module docstring for the contract."""
+    """One superblock bound to a machine: its shared :class:`BlockSpec`
+    and the function ``exec``'d from it against the machine's state; see
+    the module docstring for the contract."""
 
-    __slots__ = ("head", "head_addr", "fn", "code", "max_len", "offsets",
-                 "line_map", "prefix_defs", "looped", "iter_events", "slen",
-                 "loop_id")
+    __slots__ = ("spec", "fn", "code", "head_addr", "max_len")
 
-    def __init__(self, head, head_addr, fn, max_len, offsets, line_map,
-                 prefix_defs, looped, iter_events, slen, loop_id=None):
-        self.head = head
-        self.head_addr = head_addr
+    def __init__(self, spec, fn):
+        self.spec = spec
         self.fn = fn
         self.code = fn.__code__
-        self.max_len = max_len
-        self.offsets = offsets
-        self.line_map = line_map
-        self.prefix_defs = prefix_defs
-        self.looped = looped
-        #: per-iteration (event, assumed_taken, count_offset) branch events
-        #: of an all-assumed iteration of a looped block — the run-marker
-        #: template (empty for straight blocks); *event* is the branch's
-        #: instruction in log mode and its constant id in count mode
-        self.iter_events = iter_events
-        #: instructions an all-assumed iteration retires (== max_len unless
-        #: the loop contains folds whose assumed direction skips offsets)
-        self.slen = slen
-        #: count mode: the id a completed run of this looped block is
-        #: recorded under (followed by ``~iterations``); ``None`` in log
-        #: mode
-        self.loop_id = loop_id
+        self.head_addr = spec.head_addr
+        self.max_len = spec.max_len
 
 
 class BlockSpec:
@@ -193,24 +171,30 @@ class BlockSpec:
     the same executable (see :data:`_SHARED_SPECS`) — repeated passes over
     a benchmark skip trace formation and ``compile()`` entirely and only
     re-``exec`` the code object against their own register file, memory,
-    and event sinks."""
+    and event sinks.
+
+    A looped block's run template is ``iter_events``: the ``(id,
+    assumed_taken, count_offset)`` branch events of one all-assumed
+    iteration (empty for straight blocks).  ``slen`` is the instructions
+    such an iteration retires (``max_len`` unless folds skip offsets),
+    and ``loop_id`` the id a completed run is recorded under, followed
+    by ``~iterations``."""
 
     __slots__ = ("head", "head_addr", "code", "max_len", "offsets",
-                 "line_map", "prefix_defs", "looped", "iter_idx",
+                 "line_map", "prefix_defs", "looped", "iter_events",
                  "slen", "loop_id")
 
 
-#: executable → {(layout key, counting): {head: BlockSpec | None}} — the
+#: executable → {layout key: {head: BlockSpec | None}} — the
 #: cross-machine spec cache (``None`` records an uncompilable head so
 #: repeat machines skip the formation attempt too); entries die with
 #: their executable.  The layout key is the map's *content*, so a block
 #: shape — and with it the side-exit count — never depends on which
-#: machine formed it first; the two event encodings render the same
-#: shapes into different code.
+#: machine formed it first.
 _SHARED_SPECS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _specs_for(executable, layout=None, counting: bool = False) -> dict:
+def _specs_for(executable, layout=None) -> dict:
     by_layout = _SHARED_SPECS.get(executable)
     if by_layout is None:
         by_layout = {}
@@ -219,7 +203,7 @@ def _specs_for(executable, layout=None, counting: bool = False) -> dict:
         except TypeError:  # not weak-referenceable: private per-cache dict
             pass
     key = frozenset(layout.items()) if layout else None
-    return by_layout.setdefault((key, counting), {})
+    return by_layout.setdefault(key, {})
 
 
 def drop_specs(executable) -> None:
@@ -229,23 +213,15 @@ def drop_specs(executable) -> None:
 
 
 def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
-    """Instantiate a shared :class:`BlockSpec` for one machine: rebuild
-    the run-marker template against the machine's instruction list and
-    ``exec`` the code object with the machine's state bound as defaults."""
-    insts = machine._insts
-    if spec.loop_id is None:
-        iter_events = tuple(
-            (insts[p], assumed, K) for p, assumed, K in spec.iter_idx)
-    else:
-        iter_events = tuple((2 * p + (not assumed), assumed, K)
-                            for p, assumed, K in spec.iter_idx)
+    """Instantiate a shared :class:`BlockSpec` for one machine: ``exec``
+    the code object with the machine's state bound as defaults."""
     mem = machine.memory
     env = {
         "RG": machine.regs,
         "FG": machine.fregs,
         "PD": machine._pending.append,
         "CS": machine._call_stack,
-        "IN": insts,
+        "IN": machine._insts,
         "SEC": machine._side_exit_cell,
         "LW": mem.load_word,
         "SW": mem.store_word,
@@ -259,24 +235,11 @@ def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
         "P4_": _U32_STRUCT.pack_into,
         "UD_": _F64_STRUCT.unpack_from,
         "P8_": _F64_STRUCT.pack_into,
-        "RT_": iter_events,
+        "SC_": machine._count_scale,
         "ERR": SimulationError,
     }
     exec(spec.code, env)
-    return CompiledBlock(spec.head, spec.head_addr, env["_b"], spec.max_len,
-                         spec.offsets, spec.line_map, spec.prefix_defs,
-                         spec.looped, iter_events, spec.slen,
-                         spec.loop_id)
-
-
-def compile_superblock(machine, head) -> CompiledBlock | None:
-    """Form, compile, and bind the superblock starting at *head* for one
-    machine (the uncached path; :meth:`TraceCache.compile` goes through
-    the shared spec cache instead)."""
-    spec = _form_superblock(machine, head)
-    if spec is None:
-        return None
-    return _bind_block(spec, machine)
+    return CompiledBlock(spec, env["_b"])
 
 
 def _need_int(*values):
@@ -298,8 +261,6 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     tindex = machine._tindex
     layout = machine.layout or {}
     n = len(insts)
-    #: count mode (see :mod:`repro.sim.engine`): events are constant ids
-    counting = machine._counting
     loop_id = 3 * n + head
 
     body: list[tuple[str, int | None]] = []   # (line text, block offset)
@@ -426,19 +387,16 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     def event(q: int, taken, count: str) -> str:
         """Append the event of the branch at *q*: *taken* is a constant
         outcome or the name of the local holding it; *count* the
-        retired-count expression (unused in count mode)."""
-        if not counting:
-            return f"pend((I[{q}], {taken}, {count}))"
+        retired-count expression."""
         if isinstance(taken, bool):
-            return f"pend({2 * q + (not taken)})"
-        return f"pend({2 * q} if {taken} else {2 * q + 1})"
+            return f"pend(({count}) * S + {2 * q + (not taken)})"
+        return f"pend(({count}) * S + ({2 * q} if {taken} else {2 * q + 1}))"
 
-    def marker(b0: str, iterations: str, stride) -> list[str]:
+    def marker(b0: str, iterations: str) -> list[str]:
         """Append a run marker: *iterations* completed all-assumed
-        iterations of *stride* instructions from retired count *b0*."""
-        if counting:
-            return [f"pend({loop_id})", f"pend(~({iterations}))"]
-        return [f"pend((None, RT, {b0}, {iterations}, {stride}))"]
+        iterations (of ``slen`` instructions each) from retired count
+        *b0*."""
+        return [f"pend({b0} * S + {loop_id})", f"pend(~({iterations}))"]
 
     def _partials(upto: int) -> list[str]:
         """Event appends for the assumed-path branches before assumed-event
@@ -449,7 +407,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
                 for q, ke, a in assumed_events[:upto]]
 
     def render_branch(text: str, mode: str, dyn_: bool,
-                      length: int, slen: int) -> str | None:
+                      length: int) -> str | None:
         """Resolve the branch markers; ``None`` drops the line entirely.
 
         ``flat`` (straight-line) blocks record each branch event as it
@@ -501,21 +459,21 @@ def _form_superblock(machine, head) -> BlockSpec | None:
                 # and including this branch was already pended live; on
                 # the pure path flush the run, replay the iteration's
                 # assumed events, then this branch's actual outcome
-                exprs = marker("rb0", "runs", slen)
+                exprs = marker("rb0", "runs")
                 exprs += _partials(ae)
                 exprs.append(event(p, not assumed, f"base + {K} - ex"))
                 joined = ", ".join(exprs)
                 return text[:a] + f"im or ({joined},); " + text[b + 1:]
             if mode == "rle":
-                parts = marker("b0", f"(base - b0) // {length}", length)
+                parts = marker("b0", f"(base - b0) // {length}")
             else:  # runs-compressed: the counter tracks completed runs
-                parts = marker("rb0", "runs", slen)
+                parts = marker("rb0", "runs")
             parts += _partials(ae)
             parts.append(event(p, not assumed, f"base + {ke}"))
             return text[:a] + "; ".join(parts) + "; " + text[b + 1:]
         return text
 
-    def render_fold(text: str, mode: str, slen: int) -> str | None:
+    def render_fold(text: str, mode: str) -> str | None:
         """Resolve a fold (``\\x07``) marker; ``None`` drops the line.
 
         ``p`` is the unconditional event append right after the fold's
@@ -546,23 +504,21 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         if f > 0:
             # an earlier fold may already have diverged this iteration —
             # then everything up to here was pended live already
-            exprs = marker("rb0", "runs", slen)
+            exprs = marker("rb0", "runs")
             exprs += _partials(ae)
             joined = ", ".join(exprs)
             parts = [f"im or ({joined},)",
                      event(p, not assumed, f"base + {K} - ex"),
                      "im = 1", "runs = 0"]
             return "; ".join(parts)
-        parts = marker("rb0", "runs", slen) + ["runs = 0", "im = 1"]
+        parts = marker("rb0", "runs") + ["runs = 0", "im = 1"]
         parts += _partials(ae)
         parts.append(event(p, not assumed, f"base + {ke}"))
         return "; ".join(parts)
 
     def indirect(q: int, K: int) -> str:
         """Append the indirect-jump event of the instruction at *q*."""
-        if counting:
-            return f"pend({2 * n + q})"
-        return f"pend((I[{q}], None, {cnt(K)}))"
+        return f"pend(({cnt(K)}) * S + {2 * n + q})"
 
     def emit_exit(out, k_lines, indent, target, executed):
         ret = f"return {target}, {cnt(executed)}"
@@ -1274,7 +1230,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
 
     header = ("def _b(base, stop, regs=RG, fregs=FG, pend=PD, cs=CS, I=IN, "
               "SE=SEC, lw=LW, sw=SW, lb=LB, sb=SB, ld=LD, sd=SD, M=MM, "
-              "PG=PG_, UW=UW_, P4=P4_, UD=UD_, P8=P8_, RT=RT_, "
+              "PG=PG_, UW=UW_, P4=P4_, UD=UD_, P8=P8_, S=SC_, "
               "SimulationError=ERR):")
     lines = [header]
     line_map: dict[int, int] = {}
@@ -1318,9 +1274,9 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         stripped = text.lstrip(" ")
         pad = text[:len(text) - len(stripped)]
         if stripped.startswith("\x07"):
-            stripped = render_fold(stripped, mode, slen)
+            stripped = render_fold(stripped, mode)
         else:
-            stripped = render_branch(stripped, mode, dyn[0], length, slen)
+            stripped = render_branch(stripped, mode, dyn[0], length)
         if stripped is None:
             continue
         lines.append(indent + pad +
@@ -1331,7 +1287,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         # range exhausted: the iteration at `base` completed — record the
         # whole run and hand the head back to the engine for housekeeping
         lines.extend(" " + part for part in marker(
-            "b0", f"(base - b0) // {length} + 1", length))
+            "b0", f"(base - b0) // {length} + 1"))
         lines.append(" " + render_writeback(writeback(), True) +
                      f"return {head}, base + {length}")
     elif mode == "runs":
@@ -1345,7 +1301,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         lines.append("  else:")
         lines.append("   runs += 1")
         lines.append(f"  if base + {length} > stop:")
-        lines.extend("   " + part for part in marker("rb0", "runs", slen))
+        lines.extend("   " + part for part in marker("rb0", "runs"))
         lines.append("   " + render_writeback(writeback(), True) +
                      f"return {head}, base")
 
@@ -1370,11 +1326,11 @@ def _form_superblock(machine, head) -> BlockSpec | None:
     spec.line_map = line_map
     spec.prefix_defs = prefix
     spec.looped = looped
-    spec.iter_idx = tuple(
-        (p, assumed, K) for p, K, assumed in assumed_events
+    spec.iter_events = tuple(
+        (2 * p + (not assumed), assumed, K) for p, K, assumed in assumed_events
     ) if looped else ()
     spec.slen = slen
-    spec.loop_id = loop_id if counting else None
+    spec.loop_id = loop_id
     return spec
 
 
@@ -1397,8 +1353,7 @@ class TraceCache:
         self.blacklist: set[int] = set()
         self.compiled = 0
         self.formed = 0
-        self._specs = _specs_for(machine.executable, machine.layout,
-                                 machine._counting)
+        self._specs = _specs_for(machine.executable, machine.layout)
 
     def compile(self, head) -> CompiledBlock | None:
         if self.compiled >= MAX_BLOCKS or head in self.blacklist:
@@ -1448,51 +1403,47 @@ def recover_block_fault(cache: TraceCache, exc: BaseException,
     if hit is None:
         return None
     block, frame, lineno = hit
+    spec = block.spec
     locs = frame.f_locals
     base = locs.get("base")
     if not isinstance(base, int):
         return None
-    k = block.line_map.get(lineno)
+    k = spec.line_map.get(lineno)
     if k is None:
         # fault in the entry loads (should not happen): nothing executed
-        return block.head, base
+        return spec.head, base
     # fold blocks skip the untaken arm's offsets; `ex` holds the skip
     ex = locs.get("ex")
     if type(ex) is not int:
         ex = 0
-    if block.looped and block.iter_events:
+    if spec.looped and spec.iter_events:
         pending = machine._pending
-        lid = block.loop_id
+        S = machine._count_scale
 
-        def run(b0, iterations, stride):
-            if lid is None:
-                pending.append(
-                    (None, block.iter_events, b0, iterations, stride))
-            else:
-                pending.append(lid)
-                pending.append(~iterations)
+        def run(b0, iterations):
+            pending.append(b0 * S + spec.loop_id)
+            pending.append(~iterations)
 
         def partial(upto):
-            for ev, assumed, K in block.iter_events:
+            for ev, _, K in spec.iter_events:
                 if K <= upto:
-                    pending.append(ev if lid is not None
-                                   else (ev, assumed, base + K))
+                    pending.append((base + K) * S + ev)
 
         b0 = locs.get("b0")
         if isinstance(b0, int):
             # RLE loop: completed iterations derive from the range driver
-            run(b0, (base - b0) // block.max_len, block.max_len)
+            run(b0, (base - b0) // spec.max_len)
             partial(k)
         else:
             # runs-compressed loop: the generated code tracks the run
             rb0, runs = locs.get("rb0"), locs.get("runs")
             if isinstance(rb0, int) and isinstance(runs, int):
-                run(rb0, runs, block.slen)
+                run(rb0, runs)
                 if not locs.get("im"):
                     # fault on the assumed path: replay its events up to
                     # the fault (a diverged iteration pended them already)
                     partial(k - ex)
-    for kind, idx in block.prefix_defs[k]:
+    for kind, idx in spec.prefix_defs[k]:
         if kind == "r":
             v = locs.get(f"r{idx}")
             if v is not None:
@@ -1508,4 +1459,4 @@ def recover_block_fault(cache: TraceCache, exc: BaseException,
             v = locs.get("fc")
             if v is not None:
                 machine.fp_cond = v
-    return block.offsets[k], base + k + 1 - ex
+    return spec.offsets[k], base + k + 1 - ex

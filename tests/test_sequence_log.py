@@ -3,18 +3,20 @@
 :meth:`SequenceAnalyzer.analyze` computes a predictor's sequence-length
 distribution from a recorded :class:`SequenceLog` in one vectorized pass.
 :class:`_oracle` below is the online, event-by-event analyzer the
-simulator used before, kept verbatim: every field the pass produces must
-equal the oracle's, on generated event streams (conditional and indirect
-events, run markers with zero iterations, empty templates, and templates
-the map mispredicts everywhere or nowhere), and on real runs — the mini
-suite under both tiers (tier 1) and every ``SEQUENCE_BENCHMARKS`` member
-(tier 2).
+simulator used before, its per-event hooks kept verbatim: every field the
+pass produces must equal the oracle's, on generated event streams
+(conditional and indirect events, run markers with zero iterations, empty
+templates, and templates the map mispredicts everywhere or nowhere) fed
+to the oracle one event at a time and to the log as the engine's decoded
+batches, and on real runs — the mini suite under both tiers (tier 1) and
+every ``SEQUENCE_BENCHMARKS`` member (tier 2).
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from repro.core.sequences import sequence_predictions
 from repro.harness import SEQUENCE_BENCHMARKS
 from repro.isa.instructions import Instruction, OPCODES_BY_NAME
 from repro.sim import EdgeProfile, Machine, Observer
+from repro.sim.engine import INDIRECT as INDIRECT_KIND, EventBatch
 from repro.sim.trace import (
     BUCKET_WIDTH, NUM_BUCKETS, SequenceAnalyzer, SequenceLog,
     sequence_analyzers,
@@ -65,45 +68,6 @@ class _oracle(Observer):
     def on_indirect(self, inst: Instruction, instr_count: int) -> None:
         self._record_break(instr_count)
 
-    def on_events(self, events) -> None:
-        # batched fast path: same aggregation as the per-event hooks.  A
-        # run marker stands for `iters` identical loop iterations; when the
-        # predictor agrees with every event in the template (the common
-        # case — the loop's hot direction), the whole run contributes no
-        # breaks and aggregates in O(template).  Otherwise each iteration
-        # breaks at the same offsets and is replayed break-by-break.
-        predictions = self.predictions
-        record = self._record_break
-        n = 0
-        misses = 0
-        for ev in events:
-            inst = ev[0]
-            if inst is None:
-                _, tmpl, b0, iters, ln = ev
-                if iters <= 0 or not tmpl:
-                    continue
-                n += len(tmpl) * iters
-                missed = [off for binst, taken, off in tmpl
-                          if predictions[binst.address] != taken]
-                if not missed:
-                    continue
-                misses += len(missed) * iters
-                for i in range(iters):
-                    cb = b0 + i * ln
-                    for off in missed:
-                        record(cb + off)
-                continue
-            taken = ev[1]
-            if taken is None:
-                record(ev[2])
-                continue
-            n += 1
-            if predictions[inst.address] != taken:
-                misses += 1
-                record(ev[2])
-        self.n_branches += n
-        self.n_mispredicts += misses
-
     def on_finish(self, instr_count: int) -> None:
         self.total_instructions = instr_count
         if self.include_trailing and instr_count > self._last_break_count:
@@ -128,6 +92,9 @@ ADDRESSES = tuple(0x400000 + 4 * i for i in range(6))
 BRANCHES = {a: Instruction(op=OPCODES_BY_NAME["beq"], rs=8, rt=0, address=a)
             for a in ADDRESSES}
 INDIRECT = Instruction(op=OPCODES_BY_NAME["jr"], rs=9, address=0x400100)
+#: the instruction list the decoded batches index into
+INSTS = (*BRANCHES.values(), INDIRECT)
+INDEX = {inst.address: i for i, inst in enumerate(INSTS)}
 
 #: gaps between events: mostly short, sometimes past the overflow bucket
 gaps = st.integers(1, 40) | st.integers(9_000, 30_000)
@@ -136,7 +103,9 @@ gaps = st.integers(1, 40) | st.integers(9_000, 30_000)
 @st.composite
 def streams(draw):
     """(predictions, batches, instructions at exit): one run's events in
-    execution order, cut into flush batches."""
+    execution order, cut into flush batches.  An event is ``(inst, taken,
+    count)``, ``(inst, None, count)`` for an indirect jump, or a run
+    marker ``(None, template, base, iterations, stride)``."""
     predictions = {a: draw(st.booleans()) for a in ADDRESSES}
     count = draw(st.integers(0, 30))
     events = []
@@ -172,6 +141,40 @@ def streams(draw):
     return predictions, batches, count + draw(st.integers(0, 50))
 
 
+def decoded(events) -> EventBatch:
+    """A batch of stream events as the engine hands it to observers."""
+    index, kind, count, markers = [], [], [], []
+    for ev in events:
+        if ev[0] is None:
+            markers.append((len(kind), *ev[1:]))
+            continue
+        index.append(INDEX[ev[0].address])
+        kind.append(INDIRECT_KIND if ev[1] is None else int(ev[1]))
+        count.append(ev[2])
+    index = np.array(index, dtype=np.int64)
+    return EventBatch(INSTS, index,
+                      np.array([INSTS[i].address for i in index.tolist()],
+                               dtype=np.int64),
+                      np.array(kind, dtype=np.int8),
+                      np.array(count, dtype=np.int64), markers)
+
+
+def replay(observer, events) -> None:
+    """Feed stream events to *observer*'s per-event hooks, a run marker
+    expanded into its iterations."""
+    for ev in events:
+        if ev[0] is None:
+            _, template, base, iterations, stride = ev
+            for i in range(iterations):
+                for inst, taken, offset in template:
+                    observer.on_branch(inst, taken,
+                                       base + i * stride + offset)
+        elif ev[1] is None:
+            observer.on_indirect(ev[0], ev[2])
+        else:
+            observer.on_branch(*ev)
+
+
 class TestGeneratedStreams:
     @settings(max_examples=300, deadline=None)
     @given(streams(), st.booleans())
@@ -179,12 +182,17 @@ class TestGeneratedStreams:
         predictions, batches, total = stream
         oracle = _oracle(predictions, include_trailing)
         analyzer = SequenceAnalyzer(predictions, include_trailing)
+        # the base class's batch replay, as any per-event observer gets it
+        replayed = _oracle(predictions, include_trailing)
         for batch in batches:
-            oracle.on_events(batch)
-            analyzer.on_events(batch)
+            replay(oracle, batch)
+            analyzer.on_events(decoded(batch))
+            replayed.on_events(decoded(batch))
         oracle.on_finish(total)
         analyzer.on_finish(total)
+        replayed.on_finish(total)
         assert fields(analyzer) == fields(oracle)
+        assert fields(replayed) == fields(oracle)
         # the pickled fields are the oracle's: no log is left behind
         assert vars(analyzer).keys() == vars(oracle).keys()
         assert vars(pickle.loads(pickle.dumps(analyzer))).keys() \
@@ -198,10 +206,10 @@ class TestGeneratedStreams:
         oracle = _oracle(predictions, include_trailing)
         analyzer = SequenceAnalyzer(predictions, include_trailing)
         for batch in batches:
-            oracle.on_events(batch)
+            replay(oracle, batch)
             for ev in batch:
                 if ev[0] is None:
-                    analyzer.on_events([ev])
+                    analyzer.on_events(decoded([ev]))
                 elif ev[1] is None:
                     analyzer.on_indirect(ev[0], ev[2])
                 else:
@@ -221,9 +229,9 @@ class TestGeneratedStreams:
         oracles = [_oracle(m) for m in maps]
         log = SequenceLog()
         for batch in batches:
-            log.on_events(batch)
+            log.on_events(decoded(batch))
             for oracle in oracles:
-                oracle.on_events(batch)
+                replay(oracle, batch)
         log.on_finish(total)
         for oracle, m in zip(oracles, maps):
             oracle.on_finish(total)

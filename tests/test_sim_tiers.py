@@ -12,8 +12,9 @@ run-key engine fingerprint, shared block specs across machines, and
 the deadline-overshoot / tick-accounting bounds of both tiers.
 
 Every differential also checks count mode (an edge profile as the only
-observer, so branch events are counted as ids) against the ordered
-stream: same profile, branch count and crash history.
+observer, so branch events are recorded as bare ids, ``S = 0``) against
+a run that also logs the ordered stream (``S > 0``, each id carrying its
+count): same profile, branch count and crash history.
 
 The mode, mini-suite and fault differentials run under three superblock
 layouts: none (backward-taken/forward-not-taken), the program's
@@ -38,7 +39,8 @@ from repro.harness.cache import run_key
 from repro.sim import FORCE_TIER0_ENV, Machine, resolve_engine_name
 from repro.sim import traces
 from repro.sim.profile import EdgeProfile
-from repro.sim.trace import BranchTrace
+from repro.sim.decode import build_handlers
+from repro.sim.trace import BranchTrace, SequenceLog
 from repro.sim.traces import HOT_THRESHOLD, MAX_BLOCK_LEN, _specs_for
 from repro.testing.chaos import chaos_env
 
@@ -92,6 +94,10 @@ int main() {
 """
 
 SPIN = "int main() { while (1) { } return 0; }"
+
+#: the opcodes whose handlers record events
+BRANCH_OPS = frozenset(["beq", "bne", "blez", "bgtz", "bltz", "bgez",
+                        "bc1t", "bc1f", "jr", "jalr"])
 
 MODE_PROGRAMS = [("hot-loop", HOT_LOOP), ("diamond", DIAMOND),
                  ("side-exit", SIDE_EXIT), ("calls", CALLS)]
@@ -164,7 +170,7 @@ def count_mode_run(executable, tier, inputs=None, **kw):
     machine = Machine(executable, inputs=list(inputs) if inputs else None,
                       observers=[profile], engine=tier, **kw)
     status = machine.run()
-    assert machine._counting
+    assert machine._count_scale == 0
     return status, profile, list(machine._branch_history)
 
 
@@ -260,7 +266,8 @@ class TestTierDifferential:
     @pytest.mark.tier2
     def test_count_mode_profiles_every_dataset(self):
         """Every benchmark x dataset, under the report's layout: the
-        count-mode edge profile equals the log-mode one."""
+        count-mode edge profile equals the one of a run that also logs
+        (its ids carry counts and are decoded with a mask)."""
         from repro.bench.suite import suite
         for bench in suite():
             exe = bench.compile()
@@ -349,6 +356,34 @@ class TestTier1Internals:
         assert s2.output == s1.output
         assert s2.instr_count == s1.instr_count
         assert m2.regs == m1.regs
+
+    def test_logging_machine_reuses_count_mode_code(self, formations):
+        """One event encoding: after a count-mode machine (an edge profile
+        only), a logging machine (an edge profile and a sequence log) on
+        the same executable and layout binds the count-mode machine's
+        superblocks and forms none, and both machines' Tier-0 handlers
+        run the same code for every branch opcode."""
+        exe = compile_and_link(DIAMOND)
+        layout = ball_larus(exe)
+        runs = []
+        for observers in ([EdgeProfile()], [EdgeProfile(), SequenceLog()]):
+            sink = telemetry.Telemetry()
+            machine = Machine(exe, observers=observers, engine="tier1",
+                              telemetry=sink, layout=layout)
+            runs.append((machine, machine.run(), observers[0],
+                         sink.counters()))
+        (m0, s0, p0, c0), (m1, s1, p1, c1) = runs
+        assert c0["sim.tier1.superblocks_formed"] > 0
+        assert c1["sim.tier1.superblocks_formed"] == 0
+        assert c1["sim.tier1.superblocks_compiled"] >= 1
+        assert (s1.output, s1.instr_count) == (s0.output, s0.instr_count)
+        assert profile_fields(p1) == profile_fields(p0)
+        branches = [i for i, inst in enumerate(exe.instructions)
+                    if inst.op.name in BRANCH_OPS]
+        assert branches
+        h0, h1 = build_handlers(m0), build_handlers(m1)
+        assert [h1[i].__code__ for i in branches] \
+            == [h0[i].__code__ for i in branches]
 
     def test_block_specs_keyed_by_layout_content(self, formations):
         """Specs formed under one layout are never bound under another:
@@ -475,9 +510,9 @@ def crash_fields(executable, tier, inputs=None, **kw):
     """Run to the fault and return the crash report as a plain dict,
     with the edge profile of the faulted run.
 
-    The run is made in count mode (an edge profile only) and again in
-    log mode (plus a branch trace); both must fault identically — the
-    count-mode crash history is decoded from branch ids."""
+    The run is made in count mode (an edge profile only) and again with
+    a branch trace, which makes every id carry its count; both must
+    fault identically — the crash history is decoded from the ids."""
     results = []
     for extra in ([], [BranchTrace()]):
         profile = EdgeProfile()
@@ -488,7 +523,7 @@ def crash_fields(executable, tier, inputs=None, **kw):
             machine.run()
         report = excinfo.value.crash_report
         assert report is not None
-        assert machine._counting == (not extra)
+        assert (machine._count_scale == 0) == (not extra)
         results.append((type(excinfo.value), dataclasses.asdict(report),
                         profile_fields(profile)))
     assert results[0] == results[1]
@@ -523,8 +558,8 @@ class TestFaultByteIdentity:
                                                            formations):
         """A division by zero mid-iteration of a hot loop: Tier 1 faults
         inside a looped superblock and must rebuild the completed
-        iterations and the partial one — as a run marker in log mode,
-        as the loop id and ``~iterations`` in count mode."""
+        iterations and the partial one — as the loop id and
+        ``~iterations``, and the partial iteration's ids."""
         exe = compile_and_link("""
         int main() {
             int i, s = 0;
