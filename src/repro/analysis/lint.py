@@ -35,9 +35,9 @@ import re
 from dataclasses import dataclass
 
 from repro.bcc import ast_nodes as A
+from repro.bcc.driver import runtime_decls
 from repro.bcc.errors import CompileError
 from repro.bcc.parser import parse
-from repro.bcc.runtime import RUNTIME_BLC
 from repro.bcc.sema import analyze
 
 __all__ = ["LintDiagnostic", "RULES", "lint_source", "lint_path"]
@@ -523,8 +523,7 @@ def lint_source(source: str, filename: str = "<input>"
     Raises :class:`~repro.bcc.errors.CompileError` only for parse
     failures; type errors degrade the type-aware rules gracefully.
     """
-    decls: list[A.Node] = []
-    decls.extend(parse(RUNTIME_BLC, "<runtime>").decls)
+    decls = runtime_decls()
     user = parse(source, filename)
     decls.extend(user.decls)
     program = A.Program(decls)

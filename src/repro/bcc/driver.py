@@ -1,11 +1,13 @@
 """Compiler driver: BLC source -> linked Executable.
 
 The pipeline is parse -> sema -> IR gen -> optimize -> codegen -> assemble.
-The BLC runtime library is parsed and compiled together with the user
-program (one translation unit, like static linking), and the assembly
-syscall wrappers are appended before assembling, so the final executable is
+The BLC runtime library is compiled together with the user program (one
+translation unit, like static linking), and the assembly syscall wrappers
+are appended before assembling, so the final executable is
 self-contained — every procedure the program can execute is in it and gets
-analyzed, exactly as QPT saw whole MIPS executables.
+analyzed, exactly as QPT saw whole MIPS executables. The runtime is parsed
+once per process (:func:`runtime_decls`); each compile gets its own copy
+of the declarations, because sema annotates AST nodes in place.
 
 Every phase is wrapped in a :mod:`repro.telemetry` span (``bcc.parse``,
 ``bcc.sema``, ``bcc.irgen``, ``bcc.opt``, ``bcc.codegen``; the parser adds
@@ -27,6 +29,9 @@ Two hooks into the static-analysis subsystem (:mod:`repro.analysis`):
 
 from __future__ import annotations
 
+import functools
+import pickle
+
 from repro import telemetry
 from repro.bcc import ast_nodes as A
 from repro.bcc.codegen import generate_assembly
@@ -40,7 +45,21 @@ from repro.isa.assembler import assemble
 from repro.isa.program import Executable
 
 __all__ = ["compile_to_asm", "compile_and_link", "compile_to_ir",
-           "analyze_source"]
+           "analyze_source", "runtime_decls"]
+
+
+@functools.cache
+def _runtime_template() -> bytes:
+    """The parsed runtime, pickled: built on the first compile, not at
+    import. Loading a pickle is cheaper than parsing or deep-copying."""
+    decls = parse(RUNTIME_BLC, "<runtime>").decls
+    return pickle.dumps(decls, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def runtime_decls() -> list[A.Node]:
+    """A fresh, unannotated copy of the BLC runtime's declarations; no two
+    calls share a node."""
+    return pickle.loads(_runtime_template())
 
 
 def _merged_program(source: str, filename: str,
@@ -49,7 +68,7 @@ def _merged_program(source: str, filename: str,
     with telemetry.get().span("bcc.parse", category="compile",
                               file=filename):
         if include_runtime:
-            decls.extend(parse(RUNTIME_BLC, "<runtime>").decls)
+            decls.extend(runtime_decls())
         decls.extend(parse(source, filename).decls)
     return A.Program(decls)
 

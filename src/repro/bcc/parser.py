@@ -4,6 +4,12 @@ Produces the AST of :mod:`repro.bcc.ast_nodes`. Types appear in the AST as
 syntactic :class:`~repro.bcc.types.TypeSpec` values; the semantic analyzer
 resolves them (struct names may be used before their definition only behind a
 pointer).
+
+Binary operators are parsed by precedence climbing (one loop per operand,
+not one call per precedence level). Statements, expressions, prefix
+operators and ``?:`` else-arms nest at most :data:`MAX_NESTING` levels
+deep in total; one more is a :class:`CompileError`, never a
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -13,7 +19,16 @@ from repro.bcc.errors import CompileError
 from repro.bcc.lexer import Token, TokenKind, tokenize
 from repro.bcc.types import TypeSpec
 
-__all__ = ["parse", "parse_tokens"]
+__all__ = ["parse", "parse_tokens", "MAX_NESTING"]
+
+#: How deep statements and expressions may nest, together. Every statement,
+#: every expression (a parenthesized one, an index, a call argument, the
+#: right side of an assignment, the then-arm of ``?:``), every prefix
+#: operator or cast, and every ``?:`` else-arm opens one level. C99 asks
+#: for 127 nested blocks and 63 nested parentheses. A level costs the
+#: parser at most six Python frames, so the deepest input stays under 800,
+#: inside Python's default recursion limit of 1000.
+MAX_NESTING = 127
 
 _TYPE_KEYWORDS = frozenset({"int", "char", "double", "void", "struct"})
 
@@ -33,18 +48,21 @@ _BINARY_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+#: binary operator -> its index in :data:`_BINARY_LEVELS`
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+               for op in ops}
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        #: the current token, ``tokens[pos]``
+        self.tok = tokens[0]
+        #: levels of nesting open at the current token (see MAX_NESTING)
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
-
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
 
     def peek(self, offset: int = 1) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -64,7 +82,15 @@ class _Parser:
         tok = self.tok
         if tok.kind != TokenKind.EOF:
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
+
+    def enter(self) -> None:
+        """Open one level of nesting at the current token; the caller
+        closes it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def expect_op(self, op: str) -> Token:
         if not self.at_op(op):
@@ -229,6 +255,12 @@ class _Parser:
     def parse_statement(self) -> list[A.Stmt]:
         """Parse one statement. Returns a list because a declaration with
         multiple declarators desugars into several VarDecl statements."""
+        self.enter()
+        statements = self._statement()
+        self.depth -= 1
+        return statements
+
+    def _statement(self) -> list[A.Stmt]:
         tok = self.tok
         if self.at_op("{"):
             return [self.parse_block()]
@@ -343,17 +375,20 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def parse_expr(self) -> A.Expr:
-        return self.parse_assignment()
-
     def parse_assignment(self) -> A.Expr:
+        self.enter()
         left = self.parse_conditional()
         if self.tok.kind == TokenKind.OP and self.tok.text in _ASSIGN_OPS:
             op_tok = self.advance()
             value = self.parse_assignment()
             compound = None if op_tok.text == "=" else op_tok.text[:-1]
-            return A.Assign(left, value, compound, **self._pos_kwargs(op_tok))
+            left = A.Assign(left, value, compound, **self._pos_kwargs(op_tok))
+        self.depth -= 1
         return left
+
+    #: BLC has no comma operator; an alias, not a wrapper, keeps one
+    #: Python frame off every level of parenthesized nesting
+    parse_expr = parse_assignment
 
     def parse_conditional(self) -> A.Expr:
         cond = self.parse_binary(0)
@@ -361,34 +396,45 @@ class _Parser:
             tok = self.advance()
             then = self.parse_expr()
             self.expect_op(":")
+            self.enter()
             otherwise = self.parse_conditional()
+            self.depth -= 1
             return A.Cond(cond, then, otherwise, **self._pos_kwargs(tok))
         return cond
 
-    def parse_binary(self, level: int) -> A.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self.tok.kind == TokenKind.OP and self.tok.text in ops:
-            op_tok = self.advance()
-            right = self.parse_binary(level + 1)
-            left = A.Binary(op_tok.text, left, right,
-                            **self._pos_kwargs(op_tok))
+    def parse_binary(self, min_level: int) -> A.Expr:
+        """Binary operators of level *min_level* (:data:`_BINARY_LEVELS`)
+        and up, by precedence climbing: a right operand takes only
+        operators that bind tighter, so every level is left-associative."""
+        left = self.parse_unary()
+        tok = self.tok
+        while tok.kind == TokenKind.OP and \
+                _PRECEDENCE.get(tok.text, -1) >= min_level:
+            self.advance()
+            right = self.parse_binary(_PRECEDENCE[tok.text] + 1)
+            left = A.Binary(tok.text, left, right, **self._pos_kwargs(tok))
+            tok = self.tok
         return left
+
+    def _prefix_operand(self) -> A.Expr:
+        """The operand of a prefix operator or cast, one level deeper."""
+        self.enter()
+        operand = self.parse_unary()
+        self.depth -= 1
+        return operand
 
     def parse_unary(self) -> A.Expr:
         tok = self.tok
         if self.at_op("-", "!", "~", "&", "*"):
             self.advance()
-            operand = self.parse_unary()
+            operand = self._prefix_operand()
             return A.Unary(tok.text, operand, **self._pos_kwargs(tok))
         if self.at_op("+"):
             self.advance()
-            return self.parse_unary()
+            return self._prefix_operand()
         if self.at_op("++", "--"):
             self.advance()
-            operand = self.parse_unary()
+            operand = self._prefix_operand()
             return A.IncDec(tok.text, operand, True, **self._pos_kwargs(tok))
         if self.at_keyword("sizeof"):
             self.advance()
@@ -402,7 +448,7 @@ class _Parser:
             self.advance()
             spec = self.parse_full_type()
             self.expect_op(")")
-            operand = self.parse_unary()
+            operand = self._prefix_operand()
             return A.Cast(spec, operand, **self._pos_kwargs(tok))
         return self.parse_postfix()
 

@@ -107,6 +107,11 @@ class _Line:
 
 def _split_operands(rest: str) -> list[str]:
     """Split an operand string on commas that are not inside quotes."""
+    if '"' not in rest:
+        ops = [op.strip() for op in rest.split(",")]
+        if not ops[-1]:
+            ops.pop()
+        return ops
     ops: list[str] = []
     depth_quote = False
     cur = []
@@ -131,14 +136,15 @@ def _tokenize(source: str) -> list[_Line]:
     lines: list[_Line] = []
     for number, raw in enumerate(source.splitlines(), start=1):
         # strip comments (# to end of line, respecting string quotes)
-        text = ""
-        in_quote = False
-        for i, ch in enumerate(raw):
-            if ch == '"' and (i == 0 or raw[i - 1] != "\\"):
-                in_quote = not in_quote
-            if ch == "#" and not in_quote:
-                break
-            text += ch
+        text = raw
+        if "#" in raw:
+            in_quote = False
+            for i, ch in enumerate(raw):
+                if ch == '"' and (i == 0 or raw[i - 1] != "\\"):
+                    in_quote = not in_quote
+                if ch == "#" and not in_quote:
+                    text = raw[:i]
+                    break
         text = text.strip()
         if not text:
             continue

@@ -64,6 +64,21 @@ class TestNumbers:
         assert kinds("a.b") == [TokenKind.IDENT, TokenKind.OP,
                                 TokenKind.IDENT]
 
+    @pytest.mark.parametrize("literal", ["0x", "1e", "1.5e+", "\u00b2",
+                                         "1\u00b2"])
+    def test_malformed_literal_is_a_compile_error(self, literal):
+        # "²" is a digit to str.isdigit() but not a decimal one, so no
+        # int() or float() accepts it
+        with pytest.raises(CompileError, match="malformed number") as info:
+            tokenize(f"int x;\nx = {literal};", filename="n.blc")
+        assert (info.value.line, info.value.col) == (2, 5)
+        assert info.value.filename == "n.blc"
+
+    def test_non_ascii_decimal_digits_are_decimal(self):
+        # like int(): any Unicode decimal digit counts, as before
+        tok = tokenize("1\u0663")[0]
+        assert (tok.kind, tok.value) == (TokenKind.INT, 13)
+
 
 class TestCharsAndStrings:
     @pytest.mark.parametrize("text,value", [
@@ -130,3 +145,17 @@ class TestComments:
     def test_comment_position_tracking(self):
         toks = tokenize("/* a\nb */ x")
         assert toks[0].line == 2
+        assert toks[0].col == 6
+
+
+class TestTokenRecord:
+    def test_token_is_an_immutable_record(self):
+        tok = tokenize("x", filename="f.blc")[0]
+        assert tok == Token(TokenKind.IDENT, "x", None, 1, 1, "f.blc")
+        assert Token("op", "+").filename == "<input>"
+        with pytest.raises(AttributeError):
+            tok.text = "y"
+
+    def test_eof_position_follows_the_last_line(self):
+        eof = tokenize("a\n  bc")[-1]
+        assert (eof.kind, eof.line, eof.col) == (TokenKind.EOF, 2, 5)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bcc import ast_nodes as A
+from repro.bcc import ast_nodes as A, compile_and_link
 from repro.bcc.errors import CompileError
-from repro.bcc.parser import parse
+from repro.bcc.parser import MAX_NESTING, parse
 
 
 def parse_expr(text: str) -> A.Expr:
@@ -252,3 +252,53 @@ class TestTopLevel:
     def test_unclosed_block(self):
         with pytest.raises(CompileError):
             parse("int main() { if (1) {")
+
+
+#: k nested constructs inside one statement and its expression: each
+#: program nests k + 2 levels (the statement and its expression root)
+_NESTED = {
+    "parentheses": lambda k: "int main() { return " + "(" * k + "1"
+                             + ")" * k + "; }",
+    "prefix operators": lambda k: "int main() { return " + "- " * k
+                                  + "1; }",
+    "casts": lambda k: "int main() { return " + "(int)" * k + "1; }",
+    "indexes": lambda k: "int a[4]; int main() { return " + "a[" * k
+                         + "0" + "]" * k + "; }",
+    "call arguments": lambda k: "int f(int x) { return x; } "
+                                "int main() { return " + "f(" * k + "0"
+                                + ")" * k + "; }",
+    "assignments": lambda k: "int main() { int a; return " + "a = " * k
+                             + "1; }",
+    "else-arms": lambda k: "int main() { int a = 1; return "
+                           + "a ? 1 : " * k + "2; }",
+    "blocks": lambda k: "int main() { " + "{ " * k + "return 0; "
+                        + "} " * k + "}",
+    "ifs": lambda k: "int main() { int a = 1; " + "if (a) " * k
+                     + "return 0; return 1; }",
+}
+
+
+class TestNestingLimit:
+    """Past MAX_NESTING levels the parser raises a CompileError at the
+    offending token; it never runs out of Python stack."""
+
+    def test_c99_parenthesis_nesting_compiles(self):
+        # C99 5.2.4.1: 63 nested parenthesized expressions
+        compile_and_link(_NESTED["parentheses"](63))
+
+    @pytest.mark.parametrize("construct", sorted(_NESTED))
+    def test_compiles_at_the_limit(self, construct):
+        compile_and_link(_NESTED[construct](MAX_NESTING - 2))
+
+    @pytest.mark.parametrize("construct", sorted(_NESTED))
+    def test_one_level_more_is_a_compile_error(self, construct):
+        with pytest.raises(CompileError,
+                           match=f"nesting deeper than {MAX_NESTING}"):
+            compile_and_link(_NESTED[construct](MAX_NESTING - 1))
+
+    def test_error_points_at_the_innermost_expression(self):
+        k = MAX_NESTING - 1
+        source = _NESTED["parentheses"](k)
+        with pytest.raises(CompileError) as info:
+            parse(source)
+        assert (info.value.line, info.value.col) == (1, source.index("1") + 1)

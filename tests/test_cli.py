@@ -76,6 +76,18 @@ class TestBccCli:
         err = capsys.readouterr().err
         assert "undeclared" in err
 
+    @pytest.mark.parametrize("literal", ["0x", "1e", "1.5e+", "\u00b2"])
+    @pytest.mark.parametrize("lint", [False, True])
+    def test_malformed_number_is_one_error_line(self, tmp_path, capsys,
+                                                literal, lint):
+        path = tmp_path / "bad.blc"
+        path.write_text(f"int main() {{ return {literal}; }}")
+        argv = [str(path)] + (["--lint"] if lint else [])
+        assert bcc_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}:1:21: malformed number literal "
+                       f"{literal!r}\n")
+
     def test_float_inputs(self, tmp_path, capsys):
         path = tmp_path / "d.blc"
         path.write_text("int main() { print_double(read_double() + 0.5); "

@@ -5,6 +5,7 @@ import pytest
 from repro.isa import (
     DATA_BASE, GP_VALUE, TEXT_BASE, WORD_SIZE, AssemblerError, assemble,
 )
+from repro.isa.assembler import _split_operands
 
 
 def wrap(body: str, name: str = "main") -> str:
@@ -41,6 +42,20 @@ class TestBasics:
     def test_comments_ignored(self):
         exe = assemble(wrap("nop  # comment\n# whole line\nnop"))
         assert len(exe.instructions) == 2
+
+    def test_hash_inside_a_string_is_not_a_comment(self):
+        src = '.data\ns: .asciiz "a#\\"#" # comment\n' + wrap("nop")
+        assert assemble(src).data[:5] == b'a#"#\x00'
+
+    # lines without a quote split on every comma; lines with one keep
+    # commas inside the quotes
+    @pytest.mark.parametrize("rest,ops", [
+        ("", []), ("  ", []), ("$t0, $t1,  4", ["$t0", "$t1", "4"]),
+        ("1, 2, ", ["1", "2"]), ("1,,2", ["1", "", "2"]),
+        ('"a,b", 1', ['"a,b"', "1"]), ('"a\\",b", 2,', ['"a\\",b"', "2"]),
+    ])
+    def test_operands_split_on_unquoted_commas(self, rest, ops):
+        assert _split_operands(rest) == ops
 
     def test_branch_target_resolved(self):
         exe = assemble(wrap("L1: beq $t0, $zero, L1"))
