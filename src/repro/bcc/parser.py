@@ -8,8 +8,9 @@ pointer).
 Binary operators are parsed by precedence climbing (one loop per operand,
 not one call per precedence level). Statements, expressions, prefix
 operators and ``?:`` else-arms nest at most :data:`MAX_NESTING` levels
-deep in total; one more is a :class:`CompileError`, never a
-``RecursionError``.
+deep in total, and a path from an expression's root to a leaf crosses at
+most :data:`MAX_OPERATOR_DEPTH` binary operators; one more of either is a
+:class:`CompileError`, never a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.bcc.errors import CompileError
 from repro.bcc.lexer import Token, TokenKind, tokenize
 from repro.bcc.types import TypeSpec
 
-__all__ = ["parse", "parse_tokens", "MAX_NESTING"]
+__all__ = ["parse", "parse_tokens", "MAX_NESTING", "MAX_OPERATOR_DEPTH"]
 
 #: How deep statements and expressions may nest, together. Every statement,
 #: every expression (a parenthesized one, an index, a call argument, the
@@ -29,6 +30,13 @@ __all__ = ["parse", "parse_tokens", "MAX_NESTING"]
 #: parser at most six Python frames, so the deepest input stays under 800,
 #: inside Python's default recursion limit of 1000.
 MAX_NESTING = 127
+
+#: How many binary operators one root-to-leaf path of an expression tree
+#: may cross. Precedence climbing folds a flat chain (``a + a + ... + a``)
+#: in a loop, so MAX_NESTING never sees it, but every later pass walks the
+#: tree recursively, about two Python frames per level. Together with
+#: MAX_NESTING that keeps the deepest tree under 800 frames.
+MAX_OPERATOR_DEPTH = 127
 
 _TYPE_KEYWORDS = frozenset({"int", "char", "double", "void", "struct"})
 
@@ -61,6 +69,9 @@ class _Parser:
         self.tok = tokens[0]
         #: levels of nesting open at the current token (see MAX_NESTING)
         self.depth = 0
+        #: the most binary operators on one path of any expression tree
+        #: completed since :meth:`parse_binary` last cleared it
+        self.height = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -405,15 +416,26 @@ class _Parser:
     def parse_binary(self, min_level: int) -> A.Expr:
         """Binary operators of level *min_level* (:data:`_BINARY_LEVELS`)
         and up, by precedence climbing: a right operand takes only
-        operators that bind tighter, so every level is left-associative."""
+        operators that bind tighter, so every level is left-associative.
+
+        Leaves in ``self.height`` the larger of its value on entry and the
+        result's operator depth (see :data:`MAX_OPERATOR_DEPTH`)."""
+        outer = self.height
+        self.height = 0
         left = self.parse_unary()
+        height = self.height
         tok = self.tok
         while tok.kind == TokenKind.OP and \
                 _PRECEDENCE.get(tok.text, -1) >= min_level:
             self.advance()
             right = self.parse_binary(_PRECEDENCE[tok.text] + 1)
+            height = max(height, self.height) + 1
+            if height > MAX_OPERATOR_DEPTH:
+                raise self.error(f"more than {MAX_OPERATOR_DEPTH} binary "
+                                 f"operators deep", tok)
             left = A.Binary(tok.text, left, right, **self._pos_kwargs(tok))
             tok = self.tok
+        self.height = max(outer, height)
         return left
 
     def _prefix_operand(self) -> A.Expr:

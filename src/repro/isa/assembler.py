@@ -171,10 +171,17 @@ def _pseudo_size(mnemonic: str, operands: list[str], line: int) -> int:
     """Number of real instructions a (pseudo-)instruction expands to."""
     if mnemonic == "la":
         return 2
-    if mnemonic == "li":
+    if mnemonic == "li" and len(operands) > 1:
         value = _parse_int(operands[1], line)
         return 1 if -32768 <= value <= 32767 else 2
     return 1
+
+
+def _operand(ln) -> str:
+    """The first operand of directive line *ln*."""
+    if not ln.operands:
+        raise AssemblerError(f"missing operand for {ln.mnemonic}", ln.number)
+    return ln.operands[0]
 
 
 class _Assembler:
@@ -238,14 +245,14 @@ class _Assembler:
                     for op in ln.operands:
                         self.data += struct.pack("<b", _parse_int(op, ln.number))
                 elif m == ".space":
-                    self.data += bytes(_parse_int(ln.operands[0], ln.number))
+                    self.data += bytes(_parse_int(_operand(ln), ln.number))
                 elif m == ".asciiz":
-                    op = ln.operands[0]
+                    op = _operand(ln)
                     if not (op.startswith('"') and op.endswith('"')):
                         raise AssemblerError(".asciiz needs a quoted string", ln.number)
                     self.data += _unescape(op[1:-1], ln.number) + b"\0"
                 elif m == ".align":
-                    self._align(1 << _parse_int(ln.operands[0], ln.number))
+                    self._align(1 << _parse_int(_operand(ln), ln.number))
                 else:
                     raise AssemblerError(f"unknown directive {m}", ln.number)
                 continue
@@ -273,11 +280,12 @@ class _Assembler:
                 elif m == ".text":
                     segment = "text"
                 elif m == ".ent":
+                    name = _operand(ln)
                     if current_proc is not None:
                         raise AssemblerError(
-                            f".ent {ln.operands[0]} inside procedure {current_proc}",
+                            f".ent {name} inside procedure {current_proc}",
                             ln.number)
-                    current_proc = ln.operands[0]
+                    current_proc = name
                     proc_start = len(self.instructions)
                 elif m == ".end":
                     if current_proc is None:
@@ -351,41 +359,41 @@ class _Assembler:
         def I(**kw) -> Instruction:
             return Instruction(source_line=line, **kw)
 
-        # pseudo-instructions first
-        if m == "move":
-            return [I(op=OPCODES_BY_NAME["addu"], rd=self._reg(ops[0], line),
-                      rs=self._reg(ops[1], line), rt=ZERO)]
-        if m == "not":
-            return [I(op=OPCODES_BY_NAME["nor"], rd=self._reg(ops[0], line),
-                      rs=self._reg(ops[1], line), rt=ZERO)]
-        if m == "neg":
-            return [I(op=OPCODES_BY_NAME["sub"], rd=self._reg(ops[0], line),
-                      rs=ZERO, rt=self._reg(ops[1], line))]
-        if m == "b":
-            return [I(op=OPCODES_BY_NAME["j"], label=ops[0])]
-        if m == "li":
-            rt = self._reg(ops[0], line)
-            value = _parse_int(ops[1], line)
-            if -32768 <= value <= 32767:
-                return [I(op=OPCODES_BY_NAME["addiu"], rt=rt, rs=ZERO, imm=value)]
-            uval = value & 0xFFFFFFFF
-            return [I(op=OPCODES_BY_NAME["lui"], rt=rt, imm=(uval >> 16) & 0xFFFF),
-                    I(op=OPCODES_BY_NAME["ori"], rt=rt, rs=rt, imm=uval & 0xFFFF)]
-        if m == "la":
-            rt = self._reg(ops[0], line)
-            addr = self._addr_of(ops[1], line)
-            return [I(op=OPCODES_BY_NAME["lui"], rt=rt, imm=(addr >> 16) & 0xFFFF),
-                    I(op=OPCODES_BY_NAME["ori"], rt=rt, rs=rt, imm=addr & 0xFFFF)]
-        if m == "l.d":
-            m = "ldc1"
-        elif m == "s.d":
-            m = "sdc1"
-
-        opcode = OPCODES_BY_NAME.get(m)
-        if opcode is None:
-            raise AssemblerError(f"unknown mnemonic {m!r}", line)
-        k = opcode.kind
         try:
+            # pseudo-instructions first
+            if m == "move":
+                return [I(op=OPCODES_BY_NAME["addu"], rd=self._reg(ops[0], line),
+                          rs=self._reg(ops[1], line), rt=ZERO)]
+            if m == "not":
+                return [I(op=OPCODES_BY_NAME["nor"], rd=self._reg(ops[0], line),
+                          rs=self._reg(ops[1], line), rt=ZERO)]
+            if m == "neg":
+                return [I(op=OPCODES_BY_NAME["sub"], rd=self._reg(ops[0], line),
+                          rs=ZERO, rt=self._reg(ops[1], line))]
+            if m == "b":
+                return [I(op=OPCODES_BY_NAME["j"], label=ops[0])]
+            if m == "li":
+                rt = self._reg(ops[0], line)
+                value = _parse_int(ops[1], line)
+                if -32768 <= value <= 32767:
+                    return [I(op=OPCODES_BY_NAME["addiu"], rt=rt, rs=ZERO, imm=value)]
+                uval = value & 0xFFFFFFFF
+                return [I(op=OPCODES_BY_NAME["lui"], rt=rt, imm=(uval >> 16) & 0xFFFF),
+                        I(op=OPCODES_BY_NAME["ori"], rt=rt, rs=rt, imm=uval & 0xFFFF)]
+            if m == "la":
+                rt = self._reg(ops[0], line)
+                addr = self._addr_of(ops[1], line)
+                return [I(op=OPCODES_BY_NAME["lui"], rt=rt, imm=(addr >> 16) & 0xFFFF),
+                        I(op=OPCODES_BY_NAME["ori"], rt=rt, rs=rt, imm=addr & 0xFFFF)]
+            if m == "l.d":
+                m = "ldc1"
+            elif m == "s.d":
+                m = "sdc1"
+
+            opcode = OPCODES_BY_NAME.get(m)
+            if opcode is None:
+                raise AssemblerError(f"unknown mnemonic {m!r}", line)
+            k = opcode.kind
             if k is Kind.ALU_R:
                 return [I(op=opcode, rd=self._reg(ops[0], line),
                           rs=self._reg(ops[1], line), rt=self._reg(ops[2], line))]

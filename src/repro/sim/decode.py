@@ -25,6 +25,14 @@ when every observer takes counts, so the append is the bare id.  Both
 the id and ``S`` are default arguments of the closure, so a handler
 builds no tuple.
 
+Handlers compute in the register file's one format, the unsigned 32-bit
+form that superblocks also hold (:mod:`repro.sim.traces`): bitwise ops,
+logical shifts, ``sltu`` and addresses need no wrap, and wrapping
+arithmetic masks once.  Only the sign-sensitive ops read a value as
+signed, ``(x ^ 2**31) - 2**31``: ``slt``/``slti`` compare ``x ^ 2**31``,
+the ``b*z`` branches test ``2**31``.  ``lw``/``lb`` mask what ``Memory``'s
+signed loads return.
+
 Decode never fails the machine constructor: an instruction whose decode
 raises (corrupted operands injected by chaos tooling, unknown opcodes)
 gets a *deferred-fault* closure that raises the same error only if and
@@ -48,7 +56,6 @@ HALT_ADDRESS = 0
 HALT_INDEX = (HALT_ADDRESS - TEXT_BASE) // WORD_SIZE
 
 _M32 = 0xFFFF_FFFF
-_W32 = 1 << 32
 _S32 = 1 << 31
 
 
@@ -58,7 +65,7 @@ def build_handlers(machine) -> list:
     insts = machine._insts
     indirect_base = 2 * len(insts)
     tindex = machine._tindex
-    regs = machine.regs
+    regs = machine._regs
     fregs = machine.fregs
     memory = machine.memory
     pend = machine._pending.append
@@ -79,24 +86,22 @@ def build_handlers(machine) -> list:
 
         if name == "addiu" or name == "addi":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                v = (regs[rs] + imm) & _M32
-                regs[rt] = v - _W32 if v & _S32 else v
+                regs[rt] = (regs[rs] + imm) & _M32
                 return nxt
             return h
         if name == "lw":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                regs[rt] = load_word((regs[rs] & _M32) + imm)
+                regs[rt] = load_word(regs[rs] + imm) & _M32
                 return nxt
             return h
         if name == "sw":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                store_word((regs[rs] & _M32) + imm, regs[rt])
+                store_word(regs[rs] + imm, regs[rt])
                 return nxt
             return h
         if name == "addu" or name == "add":
             def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                v = (regs[rs] + regs[rt]) & _M32
-                regs[rd] = v - _W32 if v & _S32 else v
+                regs[rd] = (regs[rs] + regs[rt]) & _M32
                 return nxt
             return h
         if name == "beq":
@@ -119,22 +124,23 @@ def build_handlers(machine) -> list:
             return h
         if name == "slt":
             def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                regs[rd] = 1 if regs[rs] < regs[rt] else 0
+                regs[rd] = 1 if (regs[rs] ^ _S32) < (regs[rt] ^ _S32) else 0
                 return nxt
             return h
         if name == "slti":
-            def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                regs[rt] = 1 if regs[rs] < imm else 0
+            # x ^ 2**31 == signed(x) + 2**31, exact for any immediate
+            def h(count, rs=rs, rt=rt, fimm=imm + _S32, nxt=nxt):
+                regs[rt] = 1 if (regs[rs] ^ _S32) < fimm else 0
                 return nxt
             return h
         if name == "sltu":
             def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                regs[rd] = 1 if (regs[rs] & _M32) < (regs[rt] & _M32) else 0
+                regs[rd] = 1 if regs[rs] < regs[rt] else 0
                 return nxt
             return h
         if name == "sltiu":
             def h(count, rs=rs, rt=rt, uimm=imm & _M32, nxt=nxt):
-                regs[rt] = 1 if (regs[rs] & _M32) < uimm else 0
+                regs[rt] = 1 if regs[rs] < uimm else 0
                 return nxt
             return h
         if name == "j":
@@ -152,7 +158,7 @@ def build_handlers(machine) -> list:
         if name == "jr":
             if rs == 31:
                 def h(count, rs=rs):
-                    addr = regs[rs] & _M32
+                    addr = regs[rs]
                     if call_stack:
                         call_stack.pop()
                     if addr == HALT_ADDRESS:
@@ -161,7 +167,7 @@ def build_handlers(machine) -> list:
                 return h
 
             def h(count, rs=rs, ev=indirect_base + i, S=S):
-                addr = regs[rs] & _M32
+                addr = regs[rs]
                 pend(count * S + ev)
                 if addr == HALT_ADDRESS:
                     return HALT_INDEX
@@ -171,7 +177,7 @@ def build_handlers(machine) -> list:
             ra = TEXT_BASE + WORD_SIZE * (i + 1)
             def h(count, rd=rd, rs=rs, ra=ra, site=inst.address,
                   ev=indirect_base + i, S=S):
-                addr = regs[rs] & _M32
+                addr = regs[rs]
                 regs[rd] = ra
                 call_stack.append((site, addr, ra))
                 pend(count * S + ev)
@@ -180,7 +186,7 @@ def build_handlers(machine) -> list:
         if name == "blez":
             def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
                   N=2 * i + 1, S=S):
-                if regs[rs] <= 0:
+                if not 0 < regs[rs] < _S32:
                     pend(count * S + T)
                     return t
                 pend(count * S + N)
@@ -189,7 +195,7 @@ def build_handlers(machine) -> list:
         if name == "bgtz":
             def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
                   N=2 * i + 1, S=S):
-                if regs[rs] > 0:
+                if 0 < regs[rs] < _S32:
                     pend(count * S + T)
                     return t
                 pend(count * S + N)
@@ -198,7 +204,7 @@ def build_handlers(machine) -> list:
         if name == "bltz":
             def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
                   N=2 * i + 1, S=S):
-                if regs[rs] < 0:
+                if regs[rs] >= _S32:
                     pend(count * S + T)
                     return t
                 pend(count * S + N)
@@ -207,7 +213,7 @@ def build_handlers(machine) -> list:
         if name == "bgez":
             def h(count, rs=rs, t=tindex[i], nxt=nxt, T=2 * i,
                   N=2 * i + 1, S=S):
-                if regs[rs] >= 0:
+                if regs[rs] < _S32:
                     pend(count * S + T)
                     return t
                 pend(count * S + N)
@@ -215,148 +221,119 @@ def build_handlers(machine) -> list:
             return h
         if name == "sub" or name == "subu":
             def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                v = (regs[rs] - regs[rt]) & _M32
-                regs[rd] = v - _W32 if v & _S32 else v
+                regs[rd] = (regs[rs] - regs[rt]) & _M32
                 return nxt
             return h
         if name == "mul":
             def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                v = (regs[rs] * regs[rt]) & _M32
-                regs[rd] = v - _W32 if v & _S32 else v
+                regs[rd] = (regs[rs] * regs[rt]) & _M32
                 return nxt
             return h
-        if name == "div":
-            def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt, addr=inst.address):
-                denom = regs[rt]
+        if name == "div" or name == "rem":
+            what = "division" if name == "div" else "remainder"
+            def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt, rem=name == "rem",
+                  fault=f"integer {what} by zero at 0x{inst.address:x}"):
+                denom = (regs[rt] ^ _S32) - _S32
                 if denom == 0:
-                    raise SimulationError(
-                        f"integer division by zero at 0x{addr:x}")
-                num = regs[rs]
+                    raise SimulationError(fault)
+                num = (regs[rs] ^ _S32) - _S32
                 q = abs(num) // abs(denom)
                 if (num < 0) != (denom < 0):
                     q = -q
-                v = q & _M32
-                regs[rd] = v - _W32 if v & _S32 else v
-                return nxt
-            return h
-        if name == "rem":
-            def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt, addr=inst.address):
-                denom = regs[rt]
-                if denom == 0:
-                    raise SimulationError(
-                        f"integer remainder by zero at 0x{addr:x}")
-                num = regs[rs]
-                q = abs(num) // abs(denom)
-                if (num < 0) != (denom < 0):
-                    q = -q
-                v = (num - denom * q) & _M32
-                regs[rd] = v - _W32 if v & _S32 else v
+                regs[rd] = (num - denom * q if rem else q) & _M32
                 return nxt
             return h
         if name in ("and", "or", "xor", "nor"):
             if name == "and":
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = regs[rs] & regs[rt] & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = regs[rs] & regs[rt]
                     return nxt
             elif name == "or":
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = (regs[rs] | regs[rt]) & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = regs[rs] | regs[rt]
                     return nxt
             elif name == "xor":
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = (regs[rs] ^ regs[rt]) & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = regs[rs] ^ regs[rt]
                     return nxt
             else:
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = ~((regs[rs] & _M32) | (regs[rt] & _M32)) & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = (regs[rs] | regs[rt]) ^ _M32
                     return nxt
             return h
         if name in ("andi", "ori", "xori"):
             uimm = imm & 0xFFFF
             if name == "andi":
                 def h(count, rs=rs, rt=rt, uimm=uimm, nxt=nxt):
-                    regs[rt] = regs[rs] & _M32 & uimm
+                    regs[rt] = regs[rs] & uimm
                     return nxt
             elif name == "ori":
                 def h(count, rs=rs, rt=rt, uimm=uimm, nxt=nxt):
-                    v = (regs[rs] & _M32) | uimm
-                    regs[rt] = v - _W32 if v & _S32 else v
+                    regs[rt] = regs[rs] | uimm
                     return nxt
             else:
                 def h(count, rs=rs, rt=rt, uimm=uimm, nxt=nxt):
-                    v = (regs[rs] & _M32) ^ uimm
-                    regs[rt] = v - _W32 if v & _S32 else v
+                    regs[rt] = regs[rs] ^ uimm
                     return nxt
             return h
         if name in ("sll", "srl", "sra"):
             sh = imm & 31
             if name == "sll":
                 def h(count, rs=rs, rt=rt, sh=sh, nxt=nxt):
-                    v = ((regs[rs] & _M32) << sh) & _M32
-                    regs[rt] = v - _W32 if v & _S32 else v
+                    regs[rt] = (regs[rs] << sh) & _M32
                     return nxt
             elif name == "srl":
                 def h(count, rs=rs, rt=rt, sh=sh, nxt=nxt):
-                    v = (regs[rs] & _M32) >> sh
-                    regs[rt] = v - _W32 if v & _S32 else v
+                    regs[rt] = regs[rs] >> sh
                     return nxt
             else:
                 def h(count, rs=rs, rt=rt, sh=sh, nxt=nxt):
-                    v = (regs[rs] >> sh) & _M32
-                    regs[rt] = v - _W32 if v & _S32 else v
+                    regs[rt] = ((regs[rs] ^ _S32) - _S32 >> sh) & _M32
                     return nxt
             return h
         if name in ("sllv", "srlv", "srav"):
             if name == "sllv":
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = ((regs[rs] & _M32) << (regs[rt] & 31)) & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = (regs[rs] << (regs[rt] & 31)) & _M32
                     return nxt
             elif name == "srlv":
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = (regs[rs] & _M32) >> (regs[rt] & 31)
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = regs[rs] >> (regs[rt] & 31)
                     return nxt
             else:
                 def h(count, rd=rd, rs=rs, rt=rt, nxt=nxt):
-                    v = (regs[rs] >> (regs[rt] & 31)) & _M32
-                    regs[rd] = v - _W32 if v & _S32 else v
+                    regs[rd] = ((regs[rs] ^ _S32) - _S32
+                                >> (regs[rt] & 31)) & _M32
                     return nxt
             return h
         if name == "lui":
-            v = (imm & 0xFFFF) << 16
-            val = v - _W32 if v & _S32 else v
-            def h(count, rt=rt, val=val, nxt=nxt):
+            def h(count, rt=rt, val=(imm & 0xFFFF) << 16, nxt=nxt):
                 regs[rt] = val
                 return nxt
             return h
         if name == "lb":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                regs[rt] = load_byte((regs[rs] & _M32) + imm)
+                regs[rt] = load_byte(regs[rs] + imm) & _M32
                 return nxt
             return h
         if name == "lbu":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                regs[rt] = load_byte((regs[rs] & _M32) + imm, signed=False)
+                regs[rt] = load_byte(regs[rs] + imm, signed=False)
                 return nxt
             return h
         if name == "sb":
             def h(count, rs=rs, rt=rt, imm=imm, nxt=nxt):
-                store_byte((regs[rs] & _M32) + imm, regs[rt])
+                store_byte(regs[rs] + imm, regs[rt])
                 return nxt
             return h
         if name == "ldc1":
             def h(count, rs=rs, ft=ft, imm=imm, nxt=nxt):
-                fregs[ft] = load_double((regs[rs] & _M32) + imm)
+                fregs[ft] = load_double(regs[rs] + imm)
                 return nxt
             return h
         if name == "sdc1":
             def h(count, rs=rs, ft=ft, imm=imm, nxt=nxt):
-                store_double((regs[rs] & _M32) + imm, fregs[ft])
+                store_double(regs[rs] + imm, fregs[ft])
                 return nxt
             return h
         if name == "add.d":
@@ -438,13 +415,12 @@ def build_handlers(machine) -> list:
             return h
         if name == "mtc1":
             def h(count, fs=fs, rt=rt, nxt=nxt):
-                fregs[fs] = float(regs[rt])
+                fregs[fs] = float((regs[rt] ^ _S32) - _S32)
                 return nxt
             return h
         if name == "mfc1":
             def h(count, fs=fs, rt=rt, nxt=nxt):
-                v = int(fregs[fs]) & _M32
-                regs[rt] = v - _W32 if v & _S32 else v
+                regs[rt] = int(fregs[fs]) & _M32
                 return nxt
             return h
         if name == "cvt.d.w":

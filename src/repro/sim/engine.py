@@ -437,6 +437,7 @@ class Tier1Engine(_EngineBase):
         hits = 0
         misses = 0
         residency: dict[int, int] = {}
+        track = m.telemetry.enabled  # only a live sink publishes residency
         landed = True  # run entry is a landing
 
         def tier_stats():
@@ -466,8 +467,9 @@ class Tier1Engine(_EngineBase):
                     if progressed:
                         pc = npc
                         hits += 1
-                        length = count - before
-                        residency[length] = residency.get(length, 0) + 1
+                        if track:
+                            length = count - before
+                            residency[length] = residency.get(length, 0) + 1
                         nt = count >> tick_shift
                         if nt != ticks_done:
                             # batched housekeeping at the block boundary

@@ -21,7 +21,11 @@ branch-history shadows) while the engines own only dispatch.
 
 Arithmetic follows MIPS semantics: 32-bit two's-complement wraparound,
 truncating division, logical/arithmetic shifts. Doubles are IEEE 754 via the
-host.
+host.  The integer register file (``Machine._regs``) holds one format, the
+unsigned 32-bit form ``value & 0xFFFF_FFFF``, which both tiers compute in,
+so a superblock copies plain ints in and out.  A value reads as signed only
+where it leaves the simulator: ``print_int``, the ``sbrk`` amount, the exit
+code, and :attr:`Machine.regs`, the signed view that crash reports show.
 
 Robustness: the simulator enforces two independent resource limits — an
 instruction-fuel budget (:class:`SimulationLimitExceeded`) and an optional
@@ -68,15 +72,13 @@ __all__ = [
     "HALT_ADDRESS",
 ]
 
-_INT_MIN = -(1 << 31)
-_WRAP = 1 << 32
+_M32 = 0xFFFF_FFFF
 _SIGN = 1 << 31
 
 
 def _s32(value: int) -> int:
-    """Wrap *value* to signed 32-bit."""
-    value &= 0xFFFF_FFFF
-    return value - _WRAP if value & _SIGN else value
+    """Read a register's unsigned 32-bit *value* as signed."""
+    return (value ^ _SIGN) - _SIGN
 
 
 #: Builtin exceptions that the dispatch loop converts into typed
@@ -249,13 +251,13 @@ class Machine:
         self.memory = Memory(max_pages=max_pages)
         if executable.data:
             self.memory.write_bytes(0x1000_0000, executable.data)
-        self.regs = [0] * 32
+        #: the integer register file, each value in unsigned 32-bit form
+        self._regs = regs = [0] * 32
         self.fregs = [0.0] * 32
         self.fp_cond = False
-        self.regs[28] = _s32(GP_VALUE)
-        self.regs[29] = STACK_TOP & ~7
-        self.regs[30] = self.regs[29]
-        self.regs[31] = HALT_ADDRESS
+        regs[28] = GP_VALUE & _M32
+        regs[29] = regs[30] = STACK_TOP & ~7
+        regs[31] = HALT_ADDRESS
         self.inputs = deque(inputs or [])
         self.observers = list(observers or [])
         #: ``S`` of the event encoding ``count * S + id`` (see
@@ -316,6 +318,11 @@ class Machine:
     def output(self) -> str:
         """Everything the program printed so far."""
         return "".join(self.output_parts)
+
+    @property
+    def regs(self) -> list[int]:
+        """The integer registers as signed 32-bit values (a fresh list)."""
+        return [_s32(v) for v in self._regs]
 
     def run(self, entry: int | None = None) -> ExitStatus:
         """Execute from *entry* (default: the executable's entry point) until
@@ -436,7 +443,7 @@ class Machine:
                   for call_site, callee, ret in self._call_stack]
         return CrashReport(
             pc=addr, instruction=text, instr_count=self.instr_count,
-            registers=list(self.regs), fp_registers=list(self.fregs),
+            registers=self.regs, fp_registers=list(self.fregs),
             call_stack=frames, branch_history=list(self._branch_history),
             output_tail=self.output[-200:])
 
@@ -457,20 +464,21 @@ class Machine:
         """
         pc = inst.address if inst is not None else -1
         self.syscall_count += 1
-        service = self.regs[2]
+        regs = self._regs
+        service = regs[2]
         if service == 1:  # print_int
-            self.output_parts.append(str(self.regs[4]))
+            self.output_parts.append(str(_s32(regs[4])))
         elif service == 3:  # print_double
             self.output_parts.append(repr(self.fregs[12]))
         elif service == 4:  # print_string
-            self.output_parts.append(self.memory.load_cstring(_u32(self.regs[4])))
+            self.output_parts.append(self.memory.load_cstring(regs[4]))
         elif service == 5:  # read_int
             if not self.inputs:
                 raise InputExhausted(
                     f"read_int (syscall 5) starved at pc 0x{pc:x} after "
                     f"consuming {self._inputs_consumed} input values", pc=pc)
             self._inputs_consumed += 1
-            self.regs[2] = _s32(int(self.inputs.popleft()))
+            regs[2] = int(self.inputs.popleft()) & _M32
         elif service == 7:  # read_double
             if not self.inputs:
                 raise InputExhausted(
@@ -479,23 +487,17 @@ class Machine:
             self._inputs_consumed += 1
             self.fregs[0] = float(self.inputs.popleft())
         elif service == 9:  # sbrk
-            amount = self.regs[4]
-            self.regs[2] = _s32(self._brk)
-            self._brk = (self._brk + amount + 7) & ~7
+            regs[2] = self._brk & _M32
+            self._brk = (self._brk + _s32(regs[4]) + 7) & ~7
         elif service == 10:  # exit
             self.exit_code = 0
             return False
         elif service == 11:  # print_char
-            self.output_parts.append(chr(self.regs[4] & 0xFF))
+            self.output_parts.append(chr(regs[4] & 0xFF))
         elif service == 17:  # exit with code
-            self.exit_code = self.regs[4]
+            self.exit_code = _s32(regs[4])
             return False
         else:
             raise SimulationError(
-                f"unknown syscall {service} at pc 0x{pc:x}", pc=pc)
+                f"unknown syscall {_s32(service)} at pc 0x{pc:x}", pc=pc)
         return True
-
-
-def _u32(value: int) -> int:
-    """View a signed 32-bit value as unsigned."""
-    return value & 0xFFFF_FFFF

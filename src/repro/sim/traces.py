@@ -21,10 +21,11 @@ function of the shape::
 
 where *base* is the retired-instruction count before the block's first
 instruction.  Registers live in Python locals for the duration of the
-block, and a conditional branch that goes against the assumed direction
-takes a *side exit*: it bumps the shared side-exit cell, records the
-branch events, writes the live locals back to the register file, and
-returns early with the exact count.
+block, in the register file's own unsigned 32-bit form, so entry is
+``rN = regs[N]`` and every exit ``regs[N] = rN``.  A conditional branch
+that goes against the assumed direction takes a *side exit*: it bumps the
+shared side-exit cell, records the branch events, writes the live locals
+back to the register file, and returns early with the exact count.
 
 When the assumed path closes back on the block's own head — a hot inner
 loop — the body becomes a ``for base in range(...)`` over whole
@@ -217,7 +218,7 @@ def _bind_block(spec: BlockSpec, machine) -> CompiledBlock:
     the code object with the machine's state bound as defaults."""
     mem = machine.memory
     env = {
-        "RG": machine.regs,
+        "RG": machine._regs,
         "FG": machine.fregs,
         "PD": machine._pending.append,
         "CS": machine._call_stack,
@@ -371,15 +372,11 @@ def _form_superblock(machine, head) -> BlockSpec | None:
             sel = defs_order if looped else defs_order[:cnt]
             parts = []
             for kind, idx in sel:
-                if kind == "r":
-                    # locals hold the unsigned form; the register file is
-                    # signed, so exits convert back
-                    parts.append(f"regs[{idx}] = r{idx} - 4294967296 "
-                                 f"if r{idx} & 2147483648 else r{idx}")
-                elif kind == "f":
-                    parts.append(f"fregs[{idx}] = f{idx}")
-                else:
+                if kind == "c":
                     parts.append("M.fp_cond = fc")
+                else:
+                    file = "regs" if kind == "r" else "fregs"
+                    parts.append(f"{file}[{idx}] = {kind}{idx}")
             wb = "; ".join(parts)
             text = text[:a] + (wb + "; " if wb else "") + text[b + 1:]
         return text
@@ -542,12 +539,13 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         extend the block with, ``"terminal"``, or ``"branch"`` (handled by
         the caller).  Raises :class:`_Truncate` when uncompilable.
 
-        Integer register locals hold the *unsigned* 32-bit value (entry
-        loads mask, exits sign-convert back), which makes most ALU ops a
-        single arithmetic expression: bitwise ops, right shifts, ``sltu``
-        and addresses need no wrap at all, and signed comparisons map to
-        unsigned ones by flipping the sign bit (``x ^ 0x80000000``
-        order-preserves two's complement)."""
+        Integer register locals hold the register file's *unsigned*
+        32-bit value, which makes most ALU ops a single arithmetic
+        expression: bitwise ops, right shifts, ``sltu`` and addresses need
+        no wrap at all, and signed comparisons map to unsigned ones by
+        flipping the sign bit (``x ^ 0x80000000`` is ``signed(x) +
+        2**31``).  Only ``sra``/``srav``, ``div``/``rem`` and ``mtc1``
+        read an operand as signed."""
         out = []
         name = inst.op.name
         K = k + 1
@@ -607,10 +605,8 @@ def _form_superblock(machine, head) -> BlockSpec | None:
             out.append((f"if {ub} == 0: raise SimulationError("
                         f"'integer {what} by zero at 0x{inst.address:x}')",
                         k))
-            out.append((f"sa = {ua} - 4294967296 "
-                        f"if {ua} & 2147483648 else {ua}", k))
-            out.append((f"sb_ = {ub} - 4294967296 "
-                        f"if {ub} & 2147483648 else {ub}", k))
+            out.append((f"sa = ({ua} ^ 2147483648) - 2147483648", k))
+            out.append((f"sb_ = ({ub} ^ 2147483648) - 2147483648", k))
             out.append(("t = abs(sa) // abs(sb_)", k))
             out.append(("if (sa < 0) != (sb_ < 0): t = -t", k))
             if name == "div":
@@ -624,7 +620,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
                         f"({ub} ^ 2147483648) else 0", k))
         elif name == "slti":
             rs, rt, imm = _need_int(inst.rs, inst.rt, inst.imm)
-            flipped = (imm & _M32) ^ 0x8000_0000
+            flipped = imm + 0x8000_0000
             u = use_r(rs)
             out.append((f"{def_r(rt)} = 1 if ({u} ^ 2147483648) < "
                         f"{flipped} else 0", k))
@@ -1221,7 +1217,7 @@ def _form_superblock(machine, head) -> BlockSpec | None:
         return None
     length = len(offsets)
     entry = []
-    loads = [f"r{i} = regs[{i}] & 4294967295" for i in sorted(ref_r)]
+    loads = [f"r{i} = regs[{i}]" for i in sorted(ref_r)]
     loads += [f"f{i} = fregs[{i}]" for i in sorted(ref_f)]
     if ref_fc[0]:
         loads.append("fc = M.fp_cond")
@@ -1443,20 +1439,14 @@ def recover_block_fault(cache: TraceCache, exc: BaseException,
                     # fault on the assumed path: replay its events up to
                     # the fault (a diverged iteration pended them already)
                     partial(k - ex)
+    # the locals hold the register files' own forms: write them back as is
     for kind, idx in spec.prefix_defs[k]:
-        if kind == "r":
-            v = locs.get(f"r{idx}")
-            if v is not None:
-                # block locals hold the unsigned form; the register file
-                # is signed
-                machine.regs[idx] = v - 4294967296 \
-                    if v & 2147483648 else v
-        elif kind == "f":
-            v = locs.get(f"f{idx}")
-            if v is not None:
-                machine.fregs[idx] = v
-        else:
+        if kind == "c":
             v = locs.get("fc")
             if v is not None:
                 machine.fp_cond = v
+        else:
+            v = locs.get(f"{kind}{idx}")
+            if v is not None:
+                (machine._regs if kind == "r" else machine.fregs)[idx] = v
     return spec.offsets[k], base + k + 1 - ex

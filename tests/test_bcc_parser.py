@@ -4,7 +4,8 @@ import pytest
 
 from repro.bcc import ast_nodes as A, compile_and_link
 from repro.bcc.errors import CompileError
-from repro.bcc.parser import MAX_NESTING, parse
+from repro.bcc.parser import MAX_NESTING, MAX_OPERATOR_DEPTH, parse
+from repro.sim import Machine
 
 
 def parse_expr(text: str) -> A.Expr:
@@ -302,3 +303,57 @@ class TestNestingLimit:
         with pytest.raises(CompileError) as info:
             parse(source)
         assert (info.value.line, info.value.col) == (1, source.index("1") + 1)
+
+
+def _sum(terms: int) -> str:
+    """``a + a + ... + a``: a flat chain of ``terms - 1`` operators, one
+    tree level each."""
+    return " + ".join(["a"] * terms)
+
+
+class TestOperatorDepthLimit:
+    """A path through more than MAX_OPERATOR_DEPTH binary operators is a
+    CompileError at the operator that crosses it, wherever the chain sits;
+    later passes never see a tree deep enough to run out of stack."""
+
+    def test_flat_chain_at_the_limit_compiles_and_runs(self):
+        terms = MAX_OPERATOR_DEPTH + 1
+        exe = compile_and_link("int main() { int a = 1; print_int("
+                               + _sum(terms) + "); return 0; }")
+        assert Machine(exe).run().output == str(terms)
+
+    def test_one_operator_more_is_a_compile_error(self):
+        source = ("int main() { int a = 1; return "
+                  + _sum(MAX_OPERATOR_DEPTH + 2) + "; }")
+        with pytest.raises(CompileError,
+                           match=f"more than {MAX_OPERATOR_DEPTH} binary"
+                                 " operators deep") as info:
+            compile_and_link(source)
+        # the last `+` is the one that crosses the limit
+        assert (info.value.line, info.value.col) == \
+            (1, source.rindex("+") + 1)
+
+    @pytest.mark.parametrize("at_limit,past", [
+        ("(({chain}) + a)", "(({chain}) + a) * a"),
+        ("f({chain}) + a", "f({chain} - a) + a"),
+        ("a - f(({chain}))", "a - f(a & ({chain}))"),
+        ("g({chain}, a) + a", "g({chain} - a, a) + a"),
+    ])
+    def test_depth_adds_up_through_parentheses_and_calls(self, at_limit,
+                                                         past):
+        chain = _sum(MAX_OPERATOR_DEPTH)  # one operator short
+        def program(expr):
+            return ("int f(int x) { return x; } "
+                    "int g(int x, int y) { return x; } "
+                    "int main() { int a = 1; return " + expr + "; }")
+        compile_and_link(program(at_limit.format(chain=chain)))
+        with pytest.raises(CompileError, match="binary operators deep"):
+            compile_and_link(program(past.format(chain=chain)))
+
+    def test_siblings_do_not_add_up(self):
+        """Only one path counts: two chains side by side (call arguments,
+        statements) may each reach the limit."""
+        chain = _sum(MAX_OPERATOR_DEPTH + 1)
+        compile_and_link(
+            "int f(int x, int y) { return x; } int main() { int a = 1; "
+            f"a = {chain}; return f({chain}, {chain}); }}")

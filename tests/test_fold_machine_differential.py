@@ -12,8 +12,9 @@ zero, negative remainders, two's-complement wrap-around, and the
 hardware's shift-amount masking (``sllv``/``srav`` use the low 5 bits).
 
 ``sru`` and ``sltu`` have no BLC surface syntax, so they are checked
-against oracles transcribed from ``repro.sim.machine``'s ``srlv`` /
-``sltu`` arms (the machine uses ``_u32`` views for both).
+against oracles transcribed from the simulator's ``srlv`` / ``sltu``
+handlers (``repro.sim.decode``), which read the register file's
+unsigned form.
 
 Division/remainder by zero: the fold returns ``None`` (no fold) and the
 machine raises — both sides must refuse.

@@ -105,6 +105,23 @@ class TestErrors:
         with pytest.raises(AssemblerError, match="missing operand"):
             assemble(wrap("add $t0, $t1"))
 
+    @pytest.mark.parametrize("source", [
+        ".text\n.ent\nmain:\nnop\n.end main\n",
+        ".data\n.space\n" + wrap("nop"),
+        ".data\n.asciiz\n" + wrap("nop"),
+        ".data\n.align\n" + wrap("nop"),
+    ], ids=[".ent", ".space", ".asciiz", ".align"])
+    def test_directive_missing_operand(self, source):
+        directive = source.split("\n")[1]
+        with pytest.raises(AssemblerError,
+                           match=f"line 2: missing operand for {directive}$"):
+            assemble(source)
+
+    @pytest.mark.parametrize("body", ["li $t0", "la $t0", "move $t0", "b"])
+    def test_pseudo_instruction_missing_operand(self, body):
+        with pytest.raises(AssemblerError, match="line 4: missing operand"):
+            assemble(wrap(body))
+
     def test_displacement_out_of_range(self):
         with pytest.raises(AssemblerError, match="16-bit"):
             assemble(wrap("lw $t0, 40000($sp)"))
